@@ -177,8 +177,8 @@ fn bench_train(tracer: &Tracer) -> (f64, usize) {
     (secs * 1e3 / n_steps as f64, spans)
 }
 
-/// Median requests/s through the serving engine under the given tracer.
-fn bench_serve(tracer: &Tracer) -> f64 {
+/// Median requests/s through the serving engine, with its tracer on or off.
+fn bench_serve(traced: bool) -> f64 {
     // Untrained weights: serving cost is architecture-dependent only.
     let cfg = toy_model_config(&toy_vars());
     let channels = cfg.channels;
@@ -195,11 +195,11 @@ fn bench_serve(tracer: &Tracer) -> f64 {
     });
     let n_reqs = 6usize;
     let secs = time_median(3, || {
-        let engine = ServeEngine::start_traced(
+        let engine = ServeEngine::start(
             Arc::clone(&fc),
             ServeConfig { workers: 2, max_batch: 4, ..ServeConfig::default() },
-            tracer.clone(),
         );
+        engine.tracer().set_enabled(traced);
         let tickets: Vec<_> = (0..n_reqs)
             .map(|i| {
                 let seed = i as u64;
@@ -272,8 +272,8 @@ fn main() {
     );
 
     // 5. serving
-    let serve_off = bench_serve(&Tracer::default());
-    let serve_on = bench_serve(&Tracer::new(true));
+    let serve_off = bench_serve(false);
+    let serve_on = bench_serve(true);
     let serve_pct = overhead_pct(serve_off, serve_on);
     println!(
         "serve: disabled {serve_off:7.1} req/s, enabled {serve_on:7.1} req/s ({serve_pct:+.2}%)"

@@ -163,8 +163,8 @@ impl ConsistencyStudent {
             .collect()
     }
 
-    /// A bitwise-identical copy with its own parameter storage (replica
-    /// pools in the serving engine; see [`Forecaster::replicate`]).
+    /// A bitwise-identical copy with its own parameter storage (see
+    /// [`Forecaster::replicate`]).
     pub fn replicate(&self) -> ConsistencyStudent {
         let mut model = AerisModel::new(self.model.cfg.clone());
         model.store.restore(&self.model.store.snapshot());

@@ -165,9 +165,8 @@ impl Forecaster {
     }
 
     /// A bitwise-identical copy with its own parameter storage (snapshot +
-    /// restore of the store). Replica pools in the serving engine use this to
-    /// give each worker group an independent instance; the copies produce
-    /// identical numbers by construction.
+    /// restore of the store); the copy produces identical numbers by
+    /// construction.
     pub fn replicate(&self) -> Forecaster {
         let mut model = AerisModel::new(self.model.cfg.clone());
         model.store.restore(&self.model.store.snapshot());

@@ -3,6 +3,9 @@
 //!
 //! ## Lifecycle of a request
 //!
+//! Forecasts and nowcasts take one path: a nowcast is a one-step forecast
+//! carrying an assimilation payload.
+//!
 //! 1. **Quota** ([`ServeEngine::submit`]): if the engine has per-tenant
 //!    quotas, the tenant's token bucket must cover the request's work
 //!    (member-steps), else [`ServeError::QuotaExceeded`] — the one check a
@@ -33,6 +36,11 @@
 //!    [`Ticket`]; per-request latency, tier provenance, and cache
 //!    accounting ride along.
 //!
+//! Every transition on the way (submitted, quota-denied, rejected,
+//! admitted, completed, shed) is counted once, in one ledger keyed by
+//! (tenant, tier, kind, outcome); the report, the status snapshot and the
+//! live counters are all read off it.
+//!
 //! ## Determinism
 //!
 //! Member `m` of a request draws from the private stream
@@ -41,8 +49,8 @@
 //! its own RNG. Quality-tier responses are therefore bitwise identical to a
 //! direct `ensemble` call, fast-tier responses to a direct
 //! `ConsistencyStudent::ensemble` call, both invariant under worker count,
-//! replica count, batch composition, scheduling order, and cache hits. The
-//! scheduler moves *time*, never *numbers*.
+//! batch composition, scheduling order, and cache hits. The scheduler moves
+//! *time*, never *numbers*.
 //!
 //! [`Forecaster::ensemble`]: aeris_core::Forecaster::ensemble
 
@@ -59,13 +67,12 @@ use aeris_obs::{
     StatusReport, TenantStatus, TierStatus, Tracer,
 };
 use aeris_sched::{
-    DispatchQueue, QueueMetrics, QuotaTable, ReplicaPool, ServiceEstimator, TaskMeta, Tier,
-    TierRouter,
+    DispatchQueue, QueueMetrics, QuotaTable, ServiceEstimator, TaskMeta, Tier, TierRouter,
 };
 use aeris_swipe::{EventLog, EventRecord};
 use aeris_tensor::{Rng, Tensor};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,15 +87,22 @@ pub const CLIENT_ACTOR: usize = usize::MAX;
 /// must never alias cache entries.
 const FAST_AUX: u64 = 0xFA57_7153_AE51_0001;
 
+/// What a request asks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum RequestKind {
+    /// A multi-step ensemble rollout ([`ServeEngine::submit`]).
+    Forecast,
+    /// A one-step analysis guided by observations
+    /// ([`ServeEngine::submit_nowcast`]).
+    Nowcast,
+}
+
 /// One serving-related occurrence, recorded through the reusable
 /// [`EventLog`] shared with the SWiPe runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeEvent {
     /// A request passed validation and admission control.
-    Admitted { req: u64, members: usize, steps: usize },
-    /// A nowcast (assimilation) request passed validation and admission
-    /// control; `n_obs` is the number of present observations it carries.
-    AdmittedNowcast { req: u64, members: usize, n_obs: usize },
+    Admitted { req: u64, kind: RequestKind, members: usize, steps: usize },
     /// The router assigned an admitted request to a serving tier.
     Routed { req: u64, tier: Tier },
     /// Admission control refused a request (queue at capacity).
@@ -189,13 +203,13 @@ impl ServeMetrics {
         }
     }
 
-    /// The request-latency series for one (tier, is-nowcast) traffic class.
-    fn latency_series(&self, tier: Tier, nowcast: bool) -> &MetricSeries {
-        match (tier, nowcast) {
-            (Tier::Quality, false) => &self.latency_ms,
-            (Tier::Quality, true) => &self.nowcast_latency_ms,
-            (Tier::Fast, false) => &self.fast_latency_ms,
-            (Tier::Fast, true) => &self.fast_nowcast_latency_ms,
+    /// The request-latency series for one (tier, kind) traffic class.
+    fn latency_series(&self, tier: Tier, kind: RequestKind) -> &MetricSeries {
+        match (tier, kind) {
+            (Tier::Quality, RequestKind::Forecast) => &self.latency_ms,
+            (Tier::Quality, RequestKind::Nowcast) => &self.nowcast_latency_ms,
+            (Tier::Fast, RequestKind::Forecast) => &self.fast_latency_ms,
+            (Tier::Fast, RequestKind::Nowcast) => &self.fast_nowcast_latency_ms,
         }
     }
 }
@@ -254,37 +268,49 @@ pub(crate) struct RequestState {
 }
 
 impl RequestState {
-    #[allow(clippy::too_many_arguments)]
-    fn with_core(
+    /// The state of an admitted request; `nowcast` is the assimilation
+    /// payload of a nowcast, `None` for a forecast.
+    fn new(
         id: u64,
-        init: Tensor,
-        forcings: Forcings,
-        steps: usize,
-        n_members: usize,
-        seed: u64,
-        deadline: Option<Duration>,
+        req: ForecastRequest,
+        nowcast: Option<NowcastSpec>,
         tier: Tier,
         tenant: Arc<str>,
     ) -> Self {
+        // An off schedule is a bitwise 1-step forecast (on either tier), so
+        // it keeps the plain aux and shares cache entries with one; active
+        // guidance gets its own content-addressed namespace.
+        let mut aux = 0;
+        if let Some(spec) = nowcast.as_ref().filter(|s| !s.schedule.is_off()) {
+            aux = fnv_init();
+            fnv_u64(&mut aux, spec.obs.digest());
+            fnv_u64(&mut aux, spec.schedule.digest());
+        }
+        if tier == Tier::Fast {
+            let mut h = fnv_init();
+            fnv_u64(&mut h, aux);
+            fnv_u64(&mut h, FAST_AUX);
+            aux = h;
+        }
         let submitted = Instant::now();
         RequestState {
             id,
-            init_hash: content_hash(&init),
-            init: Arc::new(init),
-            forcings_key: forcings.content_key(),
-            forcings,
-            steps,
-            n_members,
-            seed,
+            init_hash: content_hash(&req.init),
+            init: Arc::new(req.init),
+            forcings_key: req.forcings.content_key(),
+            forcings: req.forcings,
+            steps: req.steps,
+            n_members: req.n_members,
+            seed: req.seed,
             tier,
             tenant,
-            nowcast: None,
-            aux: 0,
+            nowcast,
+            aux,
             submitted,
-            deadline: deadline.map(|d| submitted + d),
+            deadline: req.deadline.map(|d| submitted + d),
             done: Mutex::new(DoneState {
-                members: vec![None; n_members],
-                remaining: n_members,
+                members: vec![None; req.n_members],
+                remaining: req.n_members,
                 cache_hits: 0,
                 computed_steps: 0,
                 latency: Duration::ZERO,
@@ -294,60 +320,12 @@ impl RequestState {
         }
     }
 
-    /// Namespace the cache key by tier: fast-tier trajectories are different
-    /// numbers from quality ones and must never alias.
-    fn apply_tier_aux(&mut self) {
-        if self.tier == Tier::Fast {
-            let mut h = fnv_init();
-            fnv_u64(&mut h, self.aux);
-            fnv_u64(&mut h, FAST_AUX);
-            self.aux = h;
+    fn kind(&self) -> RequestKind {
+        if self.nowcast.is_some() {
+            RequestKind::Nowcast
+        } else {
+            RequestKind::Forecast
         }
-    }
-
-    fn new(id: u64, req: &ForecastRequest, tier: Tier, tenant: Arc<str>) -> Self {
-        let mut state = RequestState::with_core(
-            id,
-            req.init.clone(),
-            req.forcings.clone(),
-            req.steps,
-            req.n_members,
-            req.seed,
-            req.deadline,
-            tier,
-            tenant,
-        );
-        state.apply_tier_aux();
-        state
-    }
-
-    fn new_nowcast(id: u64, req: &NowcastRequest, tier: Tier, tenant: Arc<str>) -> Self {
-        let mut state = RequestState::with_core(
-            id,
-            req.background.clone(),
-            req.forcings.clone(),
-            1,
-            req.n_members,
-            req.seed,
-            req.deadline,
-            tier,
-            tenant,
-        );
-        // An off schedule is a bitwise 1-step forecast (on either tier), so
-        // it keeps the plain aux and shares cache entries with one; active
-        // guidance gets its own content-addressed namespace.
-        if !req.schedule.is_off() {
-            let mut h = fnv_init();
-            fnv_u64(&mut h, req.observations.digest());
-            fnv_u64(&mut h, req.schedule.digest());
-            state.aux = h;
-        }
-        state.apply_tier_aux();
-        state.nowcast = Some(NowcastSpec {
-            obs: Arc::clone(&req.observations),
-            schedule: req.schedule,
-        });
-        state
     }
 
     /// Whether the request already resolved (completed or failed).
@@ -443,19 +421,6 @@ impl Ticket {
     }
 }
 
-#[derive(Default)]
-struct TenantCounters {
-    /// Requests that passed validation and named this tenant.
-    submitted: u64,
-    /// Requests that passed quota + routing + admission control.
-    admitted: u64,
-    /// Admitted requests rejected post-quota (bad route or queue full).
-    rejected: u64,
-    completed: u64,
-    shed: u64,
-    quota_denied: u64,
-}
-
 /// Per-tier and per-tenant objective trackers (present iff
 /// [`ServeConfig::slo`] is set). Tier trackers are fixed at launch; tenant
 /// trackers materialize on each tenant's first observed outcome.
@@ -485,6 +450,11 @@ impl SloBook {
             .observe(good);
     }
 
+    /// The live state of a tenant's tracker, if it saw any outcomes.
+    fn tenant_state(&self, tenant: &str) -> Option<SloState> {
+        self.tenants.lock().get(tenant).map(|t| t.state())
+    }
+
     /// Final per-tenant states, sorted by tenant name.
     fn tenant_states(&self) -> Vec<(String, SloState)> {
         let mut out: Vec<(String, SloState)> =
@@ -494,11 +464,110 @@ impl SloBook {
     }
 }
 
+/// A request transition the ledger counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Outcome {
+    /// Passed validation and named its tenant.
+    Submitted,
+    /// Refused by the tenant's token bucket.
+    QuotaDenied,
+    /// Refused after the quota check: a bad route or a full queue.
+    Rejected,
+    /// Passed quota, routing, and admission control.
+    Admitted,
+    /// Served to completion.
+    Completed,
+    /// Shed for deadline reasons.
+    Shed,
+}
+
+/// A ledger row: (tenant, tier, kind, outcome).
+type LedgerKey = (Arc<str>, Option<Tier>, RequestKind, Outcome);
+
+/// The engine's one request ledger: a count per (tenant, tier, kind,
+/// outcome) — the tier is `None` before routing — plus the SLO trackers
+/// that terminal outcomes feed. The report, the status snapshot and the
+/// live counters are all derived from it.
+struct Ledger {
+    counts: Mutex<HashMap<LedgerKey, u64>>,
+    /// Present iff [`ServeConfig::slo`] is configured.
+    slo: Option<SloBook>,
+}
+
+impl Ledger {
+    /// Count one transition. A terminal one also feeds the SLO book: a
+    /// completion is good iff its `latency` meets the objective, a shed is
+    /// bad.
+    fn record(
+        &self,
+        tenant: &Arc<str>,
+        tier: Option<Tier>,
+        kind: RequestKind,
+        outcome: Outcome,
+        latency: Option<Duration>,
+    ) {
+        *self.counts.lock().entry((Arc::clone(tenant), tier, kind, outcome)).or_default() += 1;
+        let (Some(slo), Some(tier)) = (&self.slo, tier) else {
+            return;
+        };
+        let good = match outcome {
+            Outcome::Completed => {
+                latency.is_some_and(|l| l.as_secs_f64() * 1e3 <= slo.cfg.latency_ms)
+            }
+            Outcome::Shed => false,
+            _ => return,
+        };
+        slo.observe(tier, tenant, good);
+    }
+
+    /// Per-tier counters, indexed by [`Tier::index`].
+    fn tiers(&self) -> [TierCounts; 2] {
+        let mut tiers = [TierCounts::default(); 2];
+        for (&(_, tier, kind, outcome), &n) in self.counts.lock().iter() {
+            let Some(tier) = tier else { continue };
+            let c = &mut tiers[tier.index()];
+            match outcome {
+                Outcome::Admitted => c.admitted += n,
+                Outcome::Completed => {
+                    c.completed += n;
+                    if kind == RequestKind::Nowcast {
+                        c.nowcasts += n;
+                    }
+                }
+                Outcome::Shed => c.shed += n,
+                Outcome::Submitted | Outcome::QuotaDenied | Outcome::Rejected => {}
+            }
+        }
+        tiers
+    }
+
+    /// Per-tenant counters, sorted by tenant name.
+    fn tenants(&self) -> Vec<(String, TenantCounts)> {
+        let mut tenants: BTreeMap<Arc<str>, TenantCounts> = BTreeMap::new();
+        for ((tenant, _, _, outcome), &n) in self.counts.lock().iter() {
+            let c = tenants.entry(Arc::clone(tenant)).or_default();
+            *match outcome {
+                Outcome::Submitted => &mut c.submitted,
+                Outcome::QuotaDenied => &mut c.quota_denied,
+                Outcome::Rejected => &mut c.rejected,
+                Outcome::Admitted => &mut c.admitted,
+                Outcome::Completed => &mut c.completed,
+                Outcome::Shed => &mut c.shed,
+            } += n;
+        }
+        tenants.into_iter().map(|(name, c)| (name.to_string(), c)).collect()
+    }
+
+    /// The sum of one per-tier counter over both tiers.
+    fn total(&self, counter: fn(&TierCounts) -> u64) -> u64 {
+        self.tiers().iter().map(counter).sum()
+    }
+}
+
 /// Everything the workers and the submitting threads share.
 struct EngineShared {
     forecaster: Arc<Forecaster>,
-    quality: ReplicaPool<Forecaster>,
-    fast: Option<ReplicaPool<ConsistencyStudent>>,
+    student: Option<Arc<ConsistencyStudent>>,
     /// One dispatch queue per tier, indexed by [`Tier::index`].
     queues: [DispatchQueue<MemberTask>; 2],
     router: TierRouter,
@@ -514,17 +583,7 @@ struct EngineShared {
     outstanding: Mutex<usize>,
     drained: Condvar,
     next_id: AtomicU64,
-    completed: AtomicU64,
-    nowcasts: AtomicU64,
-    shed: AtomicU64,
-    quota_denied: AtomicU64,
-    tier_admitted: [AtomicU64; 2],
-    tier_completed: [AtomicU64; 2],
-    tier_shed: [AtomicU64; 2],
-    tier_nowcasts: [AtomicU64; 2],
-    tenants: Mutex<HashMap<Arc<str>, TenantCounters>>,
-    /// SLO trackers, present iff [`ServeConfig::slo`] is configured.
-    slo: Option<SloBook>,
+    ledger: Ledger,
 }
 
 impl EngineShared {
@@ -559,39 +618,31 @@ impl EngineShared {
         }
     }
 
-    fn bump_tenant(&self, tenant: &Arc<str>, f: impl FnOnce(&mut TenantCounters)) {
-        let mut tenants = self.tenants.lock();
-        f(tenants.entry(Arc::clone(tenant)).or_default());
-    }
-
-    /// Resolve a request as failed (first terminal transition wins).
-    fn fail_request(&self, req: &Arc<RequestState>, err: ServeError, actor: usize) {
+    /// Shed a request for deadline reasons (first terminal transition
+    /// wins) and return the error its client sees.
+    fn shed(&self, req: &Arc<RequestState>, actor: usize) -> ServeError {
+        let err = ServeError::DeadlineExceeded { req: req.id };
         {
             let mut done = req.done.lock();
             if done.result.is_some() {
-                return;
+                return err;
             }
             done.latency = req.submitted.elapsed();
             done.result = Some(Err(err.clone()));
+            // Counted before the client wakes: a resolved ticket is always
+            // in the ledger.
+            self.ledger.record(&req.tenant, Some(req.tier), req.kind(), Outcome::Shed, None);
             req.done_cv.notify_all();
         }
-        if let ServeError::DeadlineExceeded { req: id } = err {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            self.tier_shed[req.tier.index()].fetch_add(1, Ordering::Relaxed);
-            self.bump_tenant(&req.tenant, |t| t.shed += 1);
-            if let Some(slo) = &self.slo {
-                slo.observe(req.tier, &req.tenant, false);
-            }
-            self.events.record(actor, ServeEvent::DeadlineExceeded { req: id });
-        }
+        self.events.record(actor, ServeEvent::DeadlineExceeded { req: req.id });
         self.release_outstanding();
+        err
     }
 
     /// Deliver a finished member; the last one completes the request.
     fn finish_member(&self, task: MemberTask, actor: usize) {
         let req = task.req;
-        let computed = req.steps - task.cache_hits;
-        let finished = {
+        let event = {
             let mut done = req.done.lock();
             if done.result.is_some() {
                 return; // request already failed; drop the member quietly
@@ -599,41 +650,27 @@ impl EngineShared {
             done.members[task.member] = Some(task.states);
             done.remaining -= 1;
             done.cache_hits += task.cache_hits;
-            done.computed_steps += computed;
-            if done.remaining == 0 {
-                done.latency = req.submitted.elapsed();
-                done.result = Some(Ok(()));
-                req.done_cv.notify_all();
-                Some((done.latency, done.cache_hits, done.computed_steps))
-            } else {
-                None
+            done.computed_steps += req.steps - task.cache_hits;
+            if done.remaining > 0 {
+                return;
+            }
+            let latency = req.submitted.elapsed();
+            done.latency = latency;
+            done.result = Some(Ok(()));
+            let kind = req.kind();
+            self.metrics.latency_series(req.tier, kind).record(latency.as_secs_f64() * 1e3);
+            let tier = Some(req.tier);
+            self.ledger.record(&req.tenant, tier, kind, Outcome::Completed, Some(latency));
+            req.done_cv.notify_all();
+            ServeEvent::Completed {
+                req: req.id,
+                latency_ms: latency.as_millis() as u64,
+                cache_hits: done.cache_hits,
+                computed_steps: done.computed_steps,
             }
         };
-        if let Some((latency, cache_hits, computed_steps)) = finished {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            self.tier_completed[req.tier.index()].fetch_add(1, Ordering::Relaxed);
-            self.bump_tenant(&req.tenant, |t| t.completed += 1);
-            if req.nowcast.is_some() {
-                self.nowcasts.fetch_add(1, Ordering::Relaxed);
-                self.tier_nowcasts[req.tier.index()].fetch_add(1, Ordering::Relaxed);
-            }
-            self.metrics
-                .latency_series(req.tier, req.nowcast.is_some())
-                .record(latency.as_secs_f64() * 1e3);
-            if let Some(slo) = &self.slo {
-                slo.observe(req.tier, &req.tenant, latency.as_secs_f64() * 1e3 <= slo.cfg.latency_ms);
-            }
-            self.events.record(
-                actor,
-                ServeEvent::Completed {
-                    req: req.id,
-                    latency_ms: latency.as_millis() as u64,
-                    cache_hits,
-                    computed_steps,
-                },
-            );
-            self.release_outstanding();
-        }
+        self.events.record(actor, event);
+        self.release_outstanding();
     }
 
     fn cache_key(&self, req: &RequestState, member: usize, step: usize) -> CacheKey {
@@ -652,20 +689,7 @@ impl EngineShared {
     }
 }
 
-/// The model a worker evaluates batches on: its pinned replica of the
-/// tier's pool.
-enum WorkerModel {
-    Quality(Arc<Forecaster>),
-    Fast(Arc<ConsistencyStudent>),
-}
-
-fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize) {
-    let model = match tier {
-        Tier::Quality => WorkerModel::Quality(shared.quality.pinned(slot)),
-        Tier::Fast => WorkerModel::Fast(
-            shared.fast.as_ref().expect("fast worker without a fast pool").pinned(slot),
-        ),
-    };
+fn worker_loop(shared: Arc<EngineShared>, tier: Tier, actor: usize) {
     let tokens = shared.forecaster.model.cfg.tokens();
     let queue = &shared.queues[tier.index()];
     loop {
@@ -694,7 +718,7 @@ fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize)
         // capacity protects the work that can still meet its deadline.
         // Time-only policy — it moves *which* requests get shed, never the
         // numbers of the ones that complete.
-        let doom_safety = shared.slo.as_ref().map_or(1.0, |slo| {
+        let doom_safety = shared.ledger.slo.as_ref().map_or(1.0, |slo| {
             match slo.tiers[tier.index()].verdict() {
                 SloVerdict::Ok => 1.0,
                 SloVerdict::Warn => 1.1,
@@ -713,12 +737,7 @@ fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize)
                         now + Duration::from_secs_f64(per * remaining * doom_safety) > dl
                     });
                 if doomed {
-                    let id = task.req.id;
-                    shared.fail_request(
-                        &task.req,
-                        ServeError::DeadlineExceeded { req: id },
-                        actor,
-                    );
+                    shared.shed(&task.req, actor);
                     continue;
                 }
             }
@@ -745,8 +764,9 @@ fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize)
         let forcings: Vec<Tensor> =
             live.iter().map(|t| t.req.forcings.at(tokens, t.next_step)).collect();
         let t0 = Instant::now();
-        let outs = match &model {
-            WorkerModel::Quality(fc) => {
+        let outs = match tier {
+            Tier::Quality => {
+                let fc = &shared.forecaster;
                 let mut guidances: Vec<Option<ObsGuidance>> = live
                     .iter()
                     .map(|t| {
@@ -779,7 +799,8 @@ fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize)
                     .collect();
                 fc.forecast_step_batch_guided(&mut jobs)
             }
-            WorkerModel::Fast(student) => {
+            Tier::Fast => {
+                let student = shared.student.as_ref().expect("fast worker without a student");
                 let _fwd = shared
                     .tracer
                     .span(SpanCategory::Forward, actor)
@@ -975,24 +996,10 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Spin up a quality-only engine around a shared forecaster (tracing
-    /// disabled; span sites cost one atomic load). Every request serves on
-    /// the full sampler.
+    /// Spin up a quality-only engine around a shared forecaster. Every
+    /// request serves on the full sampler.
     pub fn start(forecaster: Arc<Forecaster>, cfg: ServeConfig) -> ServeEngine {
-        ServeEngine::start_traced(forecaster, cfg, Tracer::default())
-    }
-
-    /// [`ServeEngine::start`] sharing an externally owned [`Tracer`]:
-    /// admission, cache lookups, batch assembly, and batched model steps emit
-    /// spans (request id in the `step` tag, member in `micro`); cache
-    /// hit/miss counters and the [`ServeMetrics`] series export through the
-    /// tracer's Prometheus path.
-    pub fn start_traced(
-        forecaster: Arc<Forecaster>,
-        cfg: ServeConfig,
-        tracer: Tracer,
-    ) -> ServeEngine {
-        ServeEngine::launch(forecaster, None, cfg, tracer)
+        ServeEngine::launch(forecaster, None, cfg)
     }
 
     /// Spin up a **two-tier** engine: the full-sampler quality tier plus a
@@ -1006,46 +1013,25 @@ impl ServeEngine {
         student: Arc<ConsistencyStudent>,
         cfg: ServeConfig,
     ) -> ServeEngine {
-        ServeEngine::start_two_tier_traced(forecaster, student, cfg, Tracer::default())
-    }
-
-    /// [`ServeEngine::start_two_tier`] with an externally owned [`Tracer`].
-    pub fn start_two_tier_traced(
-        forecaster: Arc<Forecaster>,
-        student: Arc<ConsistencyStudent>,
-        cfg: ServeConfig,
-        tracer: Tracer,
-    ) -> ServeEngine {
         assert_eq!(
             (student.model.cfg.tokens(), student.model.cfg.channels),
             (forecaster.model.cfg.tokens(), forecaster.model.cfg.channels),
             "student grid must match the forecaster's"
         );
-        ServeEngine::launch(forecaster, Some(student), cfg, tracer)
+        ServeEngine::launch(forecaster, Some(student), cfg)
     }
 
     fn launch(
         forecaster: Arc<Forecaster>,
         student: Option<Arc<ConsistencyStudent>>,
         cfg: ServeConfig,
-        tracer: Tracer,
     ) -> ServeEngine {
-        let replicas = cfg.replicas.max(1);
-        let quality = {
-            let mut pool = vec![Arc::clone(&forecaster)];
-            pool.extend((1..replicas).map(|_| Arc::new(forecaster.replicate())));
-            ReplicaPool::from_shared(pool)
-        };
-        let fast = student.map(|s| {
-            let mut pool = vec![Arc::clone(&s)];
-            pool.extend((1..replicas).map(|_| Arc::new(s.replicate())));
-            ReplicaPool::from_shared(pool)
-        });
         let n_quality = cfg.workers.max(1);
-        let n_fast = if fast.is_some() { cfg.fast_workers.max(1) } else { 0 };
+        let n_fast = if student.is_some() { cfg.fast_workers.max(1) } else { 0 };
+        let tracer = Tracer::default();
         let shared = Arc::new(EngineShared {
-            quality,
-            fast,
+            forecaster,
+            student,
             queues: [DispatchQueue::new(), DispatchQueue::new()],
             router: TierRouter::new(cfg.router),
             estimator: ServiceEstimator::new(),
@@ -1059,17 +1045,10 @@ impl ServeEngine {
             outstanding: Mutex::new(0),
             drained: Condvar::new(),
             next_id: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            nowcasts: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            quota_denied: AtomicU64::new(0),
-            tier_admitted: [AtomicU64::new(0), AtomicU64::new(0)],
-            tier_completed: [AtomicU64::new(0), AtomicU64::new(0)],
-            tier_shed: [AtomicU64::new(0), AtomicU64::new(0)],
-            tier_nowcasts: [AtomicU64::new(0), AtomicU64::new(0)],
-            tenants: Mutex::new(HashMap::new()),
-            slo: cfg.slo.clone().map(SloBook::new),
-            forecaster,
+            ledger: Ledger {
+                counts: Mutex::new(HashMap::new()),
+                slo: cfg.slo.clone().map(SloBook::new),
+            },
             cfg,
         });
         // The queues report their own wait/lag distributions through the
@@ -1078,65 +1057,41 @@ impl ServeEngine {
         for tier in [Tier::Quality, Tier::Fast] {
             shared.queues[tier.index()].instrument(shared.metrics.queue_metrics(tier));
         }
-        let mut workers = Vec::with_capacity(n_quality + n_fast);
-        for w in 0..n_quality {
-            let shared = Arc::clone(&shared);
-            workers.push(
+        let pools = (0..n_quality)
+            .map(|w| (Tier::Quality, format!("aeris-serve-q{w}")))
+            .chain((0..n_fast).map(|w| (Tier::Fast, format!("aeris-serve-f{w}"))));
+        let workers = pools
+            .enumerate()
+            .map(|(actor, (tier, name))| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("aeris-serve-q{w}"))
-                    .spawn(move || worker_loop(shared, Tier::Quality, w, w))
-                    .expect("spawn serve worker"),
-            );
-        }
-        for w in 0..n_fast {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("aeris-serve-f{w}"))
-                    .spawn(move || worker_loop(shared, Tier::Fast, w, n_quality + w))
-                    .expect("spawn serve worker"),
-            );
-        }
+                    .name(name)
+                    .spawn(move || worker_loop(shared, tier, actor))
+                    .expect("spawn serve worker")
+            })
+            .collect();
         ServeEngine { shared, workers }
     }
 
-    /// The tracer the engine records through (disabled no-op tracer unless
-    /// started via a `*_traced` constructor).
+    /// The engine's tracer, disabled at start (a span site costs one atomic
+    /// load). `engine.tracer().set_enabled(true)` makes admission, cache
+    /// lookups, batch assembly, and batched model steps emit spans (request
+    /// id in the `step` tag, member in `micro`) and cache hit/miss counters;
+    /// the [`ServeMetrics`] series export through its Prometheus path
+    /// either way.
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
     }
 
     /// Whether this engine has a distilled fast tier.
     pub fn has_fast_tier(&self) -> bool {
-        self.shared.fast.is_some()
+        self.shared.student.is_some()
     }
 
     /// The per-tier service-time estimator (measured seconds per
     /// member-step; `None` per tier until warm).
     pub fn estimator(&self) -> &ServiceEstimator {
         &self.shared.estimator
-    }
-
-    /// The tenant name a request bills to.
-    fn tenant_of(&self, explicit: &Option<Arc<str>>) -> Arc<str> {
-        explicit.clone().unwrap_or_else(|| Arc::clone(&self.shared.default_tenant))
-    }
-
-    /// Token-bucket admission for `cost` member-steps; a deny is recorded
-    /// and surfaced as [`ServeError::QuotaExceeded`].
-    fn check_quota(&self, tenant: &Arc<str>, cost: f64) -> Result<(), ServeError> {
-        let Some(quotas) = &self.shared.quotas else {
-            return Ok(());
-        };
-        if quotas.admit(tenant, cost).admitted() {
-            return Ok(());
-        }
-        self.shared.quota_denied.fetch_add(1, Ordering::Relaxed);
-        self.shared.bump_tenant(tenant, |t| t.quota_denied += 1);
-        self.shared
-            .events
-            .record(CLIENT_ACTOR, ServeEvent::RejectedQuota { tenant: tenant.to_string() });
-        Err(ServeError::QuotaExceeded { tenant: tenant.to_string() })
     }
 
     /// Route a request onto a tier; an explicit fast request on a
@@ -1147,7 +1102,7 @@ impl ServeEngine {
         deadline: Option<Duration>,
         chain_units: u64,
     ) -> Result<Tier, ServeError> {
-        let fast_available = self.shared.fast.is_some();
+        let fast_available = self.shared.student.is_some();
         if explicit == Some(Tier::Fast) && !fast_available {
             return Err(ServeError::BadRequest(
                 "fast tier requested but the engine has no distilled student".into(),
@@ -1162,45 +1117,11 @@ impl ServeEngine {
         ))
     }
 
-    /// [`ServeEngine::route`] plus accounting: a routing failure after the
-    /// quota check counts as a rejection on the tenant's ledger (so
-    /// `submitted == admitted + quota_denied + rejected` always balances).
-    fn admit(
-        &self,
-        tenant: &Arc<str>,
-        explicit: Option<Tier>,
-        deadline: Option<Duration>,
-        chain_units: u64,
-    ) -> Result<Tier, ServeError> {
-        self.route(explicit, deadline, chain_units).inspect_err(|_| {
-            self.shared.bump_tenant(tenant, |t| t.rejected += 1);
-        })
-    }
-
     /// Validate, admit, route, and enqueue a forecast request. Returns a
     /// [`Ticket`] the client blocks on; every admission failure is a typed
     /// error.
     pub fn submit(&self, request: ForecastRequest) -> Result<Ticket, ServeError> {
-        let shared = &self.shared;
-        if !shared.accepting.load(Ordering::Acquire) {
-            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
-            return Err(ServeError::Shutdown);
-        }
-        self.validate(&request)?;
-        let tenant = self.tenant_of(&request.tenant);
-        shared.bump_tenant(&tenant, |t| t.submitted += 1);
-        self.check_quota(&tenant, (request.steps * request.n_members) as f64)?;
-        let tier = self.admit(&tenant, request.tier, request.deadline, request.steps as u64)?;
-        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
-        let id = self.acquire_slot(&tenant, tier)?;
-        let _adm = adm.step(id);
-        let req = Arc::new(RequestState::new(id, &request, tier, tenant));
-        shared.events.record(
-            CLIENT_ACTOR,
-            ServeEvent::Admitted { req: id, members: request.n_members, steps: request.steps },
-        );
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
-        self.enqueue_members(req)
+        self.submit_request(request, None)
     }
 
     /// Validate, admit, route, and enqueue a nowcast (assimilation) request.
@@ -1212,56 +1133,76 @@ impl ServeEngine {
     /// forecasts and the rollout cache answers exact replays (keyed on the
     /// observation digest, guidance schedule, and tier).
     pub fn submit_nowcast(&self, request: NowcastRequest) -> Result<Ticket, ServeError> {
+        let payload = NowcastSpec { obs: request.observations, schedule: request.schedule };
+        let forecast = ForecastRequest {
+            init: request.background,
+            forcings: request.forcings,
+            steps: 1,
+            n_members: request.n_members,
+            seed: request.seed,
+            deadline: request.deadline,
+            tenant: request.tenant,
+            tier: request.tier,
+        };
+        self.submit_request(forecast, Some(payload))
+    }
+
+    /// The one request path behind [`ServeEngine::submit`] and
+    /// [`ServeEngine::submit_nowcast`]: a nowcast is a one-step forecast
+    /// carrying an assimilation payload.
+    fn submit_request(
+        &self,
+        request: ForecastRequest,
+        nowcast: Option<NowcastSpec>,
+    ) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
         if !shared.accepting.load(Ordering::Acquire) {
             shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
             return Err(ServeError::Shutdown);
         }
-        self.validate_nowcast(&request)?;
-        let tenant = self.tenant_of(&request.tenant);
-        shared.bump_tenant(&tenant, |t| t.submitted += 1);
-        self.check_quota(&tenant, request.n_members as f64)?;
-        let tier = self.admit(&tenant, request.tier, request.deadline, 1)?;
-        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
-        let id = self.acquire_slot(&tenant, tier)?;
-        let _adm = adm.step(id);
-        let req = Arc::new(RequestState::new_nowcast(id, &request, tier, tenant));
-        shared.events.record(
-            CLIENT_ACTOR,
-            ServeEvent::AdmittedNowcast {
-                req: id,
-                members: request.n_members,
-                n_obs: request.observations.n_present(),
-            },
-        );
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
-        self.enqueue_members(req)
-    }
-
-    /// Admission control: bounded outstanding requests, fail-fast. On
-    /// success the caller owns one outstanding slot and a fresh request id,
-    /// and the request is counted admitted on its tier's and tenant's
-    /// ledgers; a refusal counts as a tenant rejection.
-    fn acquire_slot(&self, tenant: &Arc<str>, tier: Tier) -> Result<u64, ServeError> {
-        let shared = &self.shared;
-        {
-            let mut g = shared.outstanding.lock();
-            if *g >= shared.cfg.queue_capacity {
-                shared.events.record(
-                    CLIENT_ACTOR,
-                    ServeEvent::RejectedQueueFull { capacity: shared.cfg.queue_capacity },
-                );
-                shared.bump_tenant(tenant, |t| t.rejected += 1);
-                return Err(ServeError::QueueFull { capacity: shared.cfg.queue_capacity });
-            }
-            *g += 1;
+        self.validate(&request, nowcast.as_ref())?;
+        let kind = if nowcast.is_some() { RequestKind::Nowcast } else { RequestKind::Forecast };
+        let tenant =
+            request.tenant.clone().unwrap_or_else(|| Arc::clone(&shared.default_tenant));
+        let record = |tier: Option<Tier>, outcome: Outcome| {
+            shared.ledger.record(&tenant, tier, kind, outcome, None)
+        };
+        record(None, Outcome::Submitted);
+        // Token-bucket admission for the request's member-steps.
+        let cost = (request.steps * request.n_members) as f64;
+        if shared.quotas.as_ref().is_some_and(|q| !q.admit(&tenant, cost).admitted()) {
+            record(None, Outcome::QuotaDenied);
+            let tenant = tenant.to_string();
+            let event = ServeEvent::RejectedQuota { tenant: tenant.clone() };
+            shared.events.record(CLIENT_ACTOR, event);
+            return Err(ServeError::QuotaExceeded { tenant });
         }
-        shared.tier_admitted[tier.index()].fetch_add(1, Ordering::Relaxed);
-        shared.bump_tenant(tenant, |t| t.admitted += 1);
-        Ok(shared.next_id.fetch_add(1, Ordering::Relaxed))
+        let tier = self
+            .route(request.tier, request.deadline, request.steps as u64)
+            .inspect_err(|_| record(None, Outcome::Rejected))?;
+        // Admission control: bounded outstanding requests, fail-fast.
+        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
+        {
+            let mut outstanding = shared.outstanding.lock();
+            let capacity = shared.cfg.queue_capacity;
+            if *outstanding >= capacity {
+                shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQueueFull { capacity });
+                record(Some(tier), Outcome::Rejected);
+                return Err(ServeError::QueueFull { capacity });
+            }
+            *outstanding += 1;
+        }
+        record(Some(tier), Outcome::Admitted);
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let _adm = adm.step(id);
+        let (members, steps) = (request.n_members, request.steps);
+        shared.events.record(CLIENT_ACTOR, ServeEvent::Admitted { req: id, kind, members, steps });
+        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
+        self.enqueue_members(Arc::new(RequestState::new(id, request, nowcast, tier, tenant)))
     }
 
-    /// The admitted-request tail shared by both request kinds.
+    /// The admitted-request tail: cache lookups, admission-time shedding,
+    /// and dispatch.
     fn enqueue_members(&self, req: Arc<RequestState>) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
         let id = req.id;
@@ -1322,8 +1263,7 @@ impl ServeEngine {
             if let Some(dl) = req.deadline {
                 let now = Instant::now();
                 if now >= dl || dl - now < shared.cfg.max_wait {
-                    shared.fail_request(&req, ServeError::DeadlineExceeded { req: id }, CLIENT_ACTOR);
-                    return Err(ServeError::DeadlineExceeded { req: id });
+                    return Err(shared.shed(&req, CLIENT_ACTOR));
                 }
             }
         }
@@ -1339,106 +1279,95 @@ impl ServeEngine {
         Ok(Ticket { req })
     }
 
-    fn validate(&self, r: &ForecastRequest) -> Result<(), ServeError> {
-        let cfg = &self.shared.forecaster.model.cfg;
+    /// Check a request against the engine's model. Observation checks run
+    /// only for a nowcast's payload; the sampler config runs for both kinds,
+    /// so a schedule the solver would panic on is a typed admission error
+    /// instead of a dead worker and a ticket that never resolves.
+    fn validate(
+        &self,
+        r: &ForecastRequest,
+        nowcast: Option<&NowcastSpec>,
+    ) -> Result<(), ServeError> {
+        let fc = &self.shared.forecaster;
+        let cfg = &fc.model.cfg;
         if r.steps == 0 || r.n_members == 0 {
             return Err(ServeError::BadRequest("steps and n_members must be ≥ 1".into()));
         }
         let want = [cfg.tokens(), cfg.channels];
         if r.init.shape() != want {
             return Err(ServeError::BadRequest(format!(
-                "init shape {:?} != model state shape {want:?}",
+                "initial state shape {:?} != model state shape {want:?}",
                 r.init.shape()
             )));
         }
-        self.validate_forcings(&r.forcings, r.steps)
-    }
-
-    fn validate_forcings(&self, forcings: &Forcings, steps: usize) -> Result<(), ServeError> {
-        let cfg = &self.shared.forecaster.model.cfg;
-        if !forcings.covers(steps) {
+        if let Some(spec) = nowcast {
+            let obs = &spec.obs;
+            if obs.tokens != cfg.tokens() || obs.channels != cfg.channels {
+                return Err(ServeError::BadRequest(format!(
+                    "observation geometry {}x{} != model grid {}x{}",
+                    obs.tokens,
+                    obs.channels,
+                    cfg.tokens(),
+                    cfg.channels
+                )));
+            }
+            let n = obs.sites.len();
+            if obs.values.len() != n || obs.mask.len() != n {
+                return Err(ServeError::BadRequest(format!(
+                    "inconsistent observation lengths: {n} sites, {} values, {} mask bits",
+                    obs.values.len(),
+                    obs.mask.len()
+                )));
+            }
+            if obs.noise_std.len() != obs.channels {
+                return Err(ServeError::BadRequest(format!(
+                    "noise_std has {} entries for {} channels",
+                    obs.noise_std.len(),
+                    obs.channels
+                )));
+            }
+            if let Some((ch, &s)) =
+                obs.noise_std.iter().enumerate().find(|(_, &s)| s <= 0.0 || s.is_nan())
+            {
+                return Err(ServeError::BadRequest(format!(
+                    "noise_std[{ch}] = {s} must be strictly positive"
+                )));
+            }
+            if let Some(bad) =
+                obs.sites.iter().find(|s| s.token >= obs.tokens || s.channel >= obs.channels)
+            {
+                return Err(ServeError::BadRequest(format!(
+                    "observation site ({}, {}) outside the {}x{} grid",
+                    bad.token, bad.channel, obs.tokens, obs.channels
+                )));
+            }
+        }
+        fc.sampler
+            .cfg
+            .validate(&fc.sampler.tf)
+            .map_err(|e| ServeError::BadRequest(format!("sampler config: {e}")))?;
+        if !r.forcings.covers(r.steps) {
             return Err(ServeError::BadRequest(format!(
-                "forcing table does not cover {steps} steps"
+                "forcing table does not cover {} steps",
+                r.steps
             )));
         }
-        if let Forcings::Table(t) = forcings {
+        if let Forcings::Table(t) = &r.forcings {
             let want = [cfg.tokens(), cfg.forcing_channels];
-            if let Some(bad) = t.iter().take(steps).find(|f| f.shape() != want) {
+            if let Some(bad) = t.iter().take(r.steps).find(|f| f.shape() != want) {
                 return Err(ServeError::BadRequest(format!(
                     "forcing tensor shape {:?} != {want:?}",
                     bad.shape()
                 )));
             }
-        } else if forcings.channels() != Some(cfg.forcing_channels) {
+        } else if r.forcings.channels() != Some(cfg.forcing_channels) {
             return Err(ServeError::BadRequest(format!(
                 "forcing channels {:?} != model forcing_channels {}",
-                forcings.channels(),
+                r.forcings.channels(),
                 cfg.forcing_channels
             )));
         }
         Ok(())
-    }
-
-    fn validate_nowcast(&self, r: &NowcastRequest) -> Result<(), ServeError> {
-        let fc = &self.shared.forecaster;
-        let cfg = &fc.model.cfg;
-        if r.n_members == 0 {
-            return Err(ServeError::BadRequest("n_members must be ≥ 1".into()));
-        }
-        let want = [cfg.tokens(), cfg.channels];
-        if r.background.shape() != want {
-            return Err(ServeError::BadRequest(format!(
-                "background shape {:?} != model state shape {want:?}",
-                r.background.shape()
-            )));
-        }
-        let obs = &r.observations;
-        if obs.tokens != cfg.tokens() || obs.channels != cfg.channels {
-            return Err(ServeError::BadRequest(format!(
-                "observation geometry {}x{} != model grid {}x{}",
-                obs.tokens,
-                obs.channels,
-                cfg.tokens(),
-                cfg.channels
-            )));
-        }
-        let n = obs.sites.len();
-        if obs.values.len() != n || obs.mask.len() != n {
-            return Err(ServeError::BadRequest(format!(
-                "inconsistent observation lengths: {n} sites, {} values, {} mask bits",
-                obs.values.len(),
-                obs.mask.len()
-            )));
-        }
-        if obs.noise_std.len() != obs.channels {
-            return Err(ServeError::BadRequest(format!(
-                "noise_std has {} entries for {} channels",
-                obs.noise_std.len(),
-                obs.channels
-            )));
-        }
-        if let Some((ch, &s)) =
-            obs.noise_std.iter().enumerate().find(|(_, &s)| s <= 0.0 || s.is_nan())
-        {
-            return Err(ServeError::BadRequest(format!(
-                "noise_std[{ch}] = {s} must be strictly positive"
-            )));
-        }
-        if let Some(bad) =
-            obs.sites.iter().find(|s| s.token >= obs.tokens || s.channel >= obs.channels)
-        {
-            return Err(ServeError::BadRequest(format!(
-                "observation site ({}, {}) outside the {}x{} grid",
-                bad.token, bad.channel, obs.tokens, obs.channels
-            )));
-        }
-        // Guided sampling runs the solver; reject a malformed schedule here
-        // as a typed admission error instead of panicking on a worker.
-        fc.sampler
-            .cfg
-            .validate(&fc.sampler.tf)
-            .map_err(|e| ServeError::BadRequest(format!("sampler config: {e}")))?;
-        self.validate_forcings(&r.forcings, 1)
     }
 
     /// Stop admitting new requests (they fail with [`ServeError::Shutdown`]);
@@ -1488,42 +1417,19 @@ impl ServeEngine {
             w.join().expect("serve worker panicked");
         }
         let shared = &self.shared;
-        let completed = shared.completed.load(Ordering::Relaxed);
+        let tiers = shared.ledger.tiers();
+        let tenants = shared.ledger.tenants();
+        let completed = tiers.iter().map(|t| t.completed).sum();
         shared.events.record(CLIENT_ACTOR, ServeEvent::Drained { completed });
-        let tiers = [Tier::Fast, Tier::Quality].map(|t| TierCounts {
-            admitted: shared.tier_admitted[t.index()].load(Ordering::Relaxed),
-            completed: shared.tier_completed[t.index()].load(Ordering::Relaxed),
-            shed: shared.tier_shed[t.index()].load(Ordering::Relaxed),
-            nowcasts: shared.tier_nowcasts[t.index()].load(Ordering::Relaxed),
-        });
-        let mut tenants: Vec<(String, TenantCounts)> = shared
-            .tenants
-            .lock()
-            .iter()
-            .map(|(name, c)| {
-                (
-                    name.to_string(),
-                    TenantCounts {
-                        submitted: c.submitted,
-                        admitted: c.admitted,
-                        rejected: c.rejected,
-                        completed: c.completed,
-                        shed: c.shed,
-                        quota_denied: c.quota_denied,
-                    },
-                )
-            })
-            .collect();
-        tenants.sort_by(|a, b| a.0.cmp(&b.0));
-        let slo = shared.slo.as_ref().map(|book| ServeSloReport {
+        let slo = shared.ledger.slo.as_ref().map(|book| ServeSloReport {
             tiers: [Tier::Fast, Tier::Quality].map(|t| book.tiers[t.index()].state()),
             tenants: book.tenant_states(),
         });
         ServeReport {
             completed,
-            nowcasts: shared.nowcasts.load(Ordering::Relaxed),
-            shed: shared.shed.load(Ordering::Relaxed),
-            quota_denied: shared.quota_denied.load(Ordering::Relaxed),
+            nowcasts: tiers.iter().map(|t| t.nowcasts).sum(),
+            shed: tiers.iter().map(|t| t.shed).sum(),
+            quota_denied: tenants.iter().map(|(_, c)| c.quota_denied).sum(),
             tiers,
             tenants,
             events: shared.events.snapshot(),
@@ -1555,17 +1461,17 @@ impl ServeEngine {
 
     /// Requests served to completion so far.
     pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
+        self.shared.ledger.total(|t| t.completed)
     }
 
     /// Nowcast requests served to completion so far.
     pub fn nowcasts(&self) -> u64 {
-        self.shared.nowcasts.load(Ordering::Relaxed)
+        self.shared.ledger.total(|t| t.nowcasts)
     }
 
     /// Requests shed for deadline reasons so far.
     pub fn shed(&self) -> u64 {
-        self.shared.shed.load(Ordering::Relaxed)
+        self.shared.ledger.total(|t| t.shed)
     }
 
     /// Requests admitted but not yet terminal.
@@ -1576,42 +1482,40 @@ impl ServeEngine {
     /// Live SLO state of one tier (`None` unless [`ServeConfig::slo`] is
     /// configured).
     pub fn slo_state(&self, tier: Tier) -> Option<SloState> {
-        self.shared.slo.as_ref().map(|b| b.tiers[tier.index()].state())
+        self.shared.ledger.slo.as_ref().map(|b| b.tiers[tier.index()].state())
     }
 
     /// One point-in-time introspection snapshot: queue depths, wait/lag
-    /// quantiles, service estimates, replica/worker sizing, per-tenant
-    /// ledgers and token balances, cache effectiveness, live SLO states,
-    /// and the tracer's counters. Render it with `Display` for the text
-    /// dashboard, or push it into the Prometheus path with
+    /// quantiles, service estimates, worker counts, per-tenant ledgers and
+    /// token balances, cache effectiveness, live SLO states, and the
+    /// tracer's counters. Render it with `Display` for the text dashboard,
+    /// or push it into the Prometheus path with
     /// [`StatusReport::export_gauges`].
     pub fn status(&self) -> StatusReport {
         let shared = &self.shared;
-        let replicas = shared.cfg.replicas.max(1);
+        let slo = shared.ledger.slo.as_ref();
+        let counts = shared.ledger.tiers();
         let mut tiers = Vec::new();
         for tier in [Tier::Quality, Tier::Fast] {
-            if tier == Tier::Fast && shared.fast.is_none() {
+            if tier == Tier::Fast && shared.student.is_none() {
                 continue;
             }
             let i = tier.index();
-            let wait = shared.metrics.queue_wait_series(tier);
-            let lag = shared.metrics.wfq_lag_series(tier);
             tiers.push(TierStatus {
                 name: tier.name().to_string(),
                 queue_depth: shared.queues[i].depth(),
-                queue_wait_ms: wait.summary(),
-                wfq_lag: lag.summary(),
+                queue_wait_ms: shared.metrics.queue_wait_series(tier).summary(),
+                wfq_lag: shared.metrics.wfq_lag_series(tier).summary(),
                 est_ms_per_unit: shared.estimator.per_unit(tier).map(|s| s * 1e3),
                 est_samples: shared.estimator.samples(tier),
-                replicas,
                 workers: match tier {
                     Tier::Quality => shared.cfg.workers.max(1),
                     Tier::Fast => shared.cfg.fast_workers.max(1),
                 },
-                admitted: shared.tier_admitted[i].load(Ordering::Relaxed),
-                completed: shared.tier_completed[i].load(Ordering::Relaxed),
-                shed: shared.tier_shed[i].load(Ordering::Relaxed),
-                slo: shared.slo.as_ref().map(|b| b.tiers[i].state()),
+                admitted: counts[i].admitted,
+                completed: counts[i].completed,
+                shed: counts[i].shed,
+                slo: slo.map(|b| b.tiers[i].state()),
             });
         }
         let balances: HashMap<String, f64> = shared
@@ -1619,25 +1523,21 @@ impl ServeEngine {
             .as_ref()
             .map(|q| q.balances().into_iter().collect())
             .unwrap_or_default();
-        let mut tenants: Vec<TenantStatus> = shared
-            .tenants
-            .lock()
-            .iter()
+        let tenants = shared
+            .ledger
+            .tenants()
+            .into_iter()
             .map(|(name, c)| TenantStatus {
-                name: name.to_string(),
-                quota_tokens: balances.get(&**name).copied(),
+                quota_tokens: balances.get(&name).copied(),
                 submitted: c.submitted,
                 completed: c.completed,
                 shed: c.shed,
                 quota_denied: c.quota_denied,
                 rejected: c.rejected,
-                slo: shared
-                    .slo
-                    .as_ref()
-                    .and_then(|b| b.tenants.lock().get(name).map(|t| t.state())),
+                slo: slo.and_then(|b| b.tenant_state(&name)),
+                name,
             })
             .collect();
-        tenants.sort_by(|a, b| a.name.cmp(&b.name));
         let cs = shared.cache.stats();
         StatusReport {
             tiers,
@@ -1759,22 +1659,22 @@ mod tests {
     fn fast_tier_matches_direct_student_ensemble_bitwise() {
         let fc = tiny_forecaster();
         let student = tiny_student(&fc);
-        // Two engines with different worker/replica counts must produce the
-        // same bits: scheduling and replication move time, not numbers.
+        // Two engines with different worker counts must produce the same
+        // bits: scheduling moves time, not numbers.
         let mut req = request(42, 3, 2);
         req.tier = Some(Tier::Fast);
         let direct = student.ensemble(&req.init, &|_k| Tensor::zeros(&[128, 3]), 3, 2, 42);
-        for (workers, replicas) in [(1usize, 1usize), (3, 2)] {
+        for workers in [1usize, 3] {
             let engine = ServeEngine::start_two_tier(
                 Arc::clone(&fc),
                 Arc::clone(&student),
-                ServeConfig { fast_workers: workers, replicas, ..ServeConfig::default() },
+                ServeConfig { fast_workers: workers, ..ServeConfig::default() },
             );
             let resp = engine.submit(req.clone()).expect("admitted").wait().expect("served");
             assert_eq!(resp.tier, Tier::Fast);
             assert_eq!(
                 resp.forecast.members, direct,
-                "fast tier ≠ direct student ensemble ({workers} workers, {replicas} replicas)"
+                "fast tier ≠ direct student ensemble ({workers} workers)"
             );
         }
     }
@@ -1989,7 +1889,7 @@ mod tests {
             );
             assert_eq!(member[0], direct, "served nowcast member {m} ≠ direct guided call");
         }
-        assert!(engine.events().any(|e| matches!(e, ServeEvent::AdmittedNowcast { .. })));
+        assert!(engine.events().any(|e| matches!(e, ServeEvent::Admitted { kind: RequestKind::Nowcast, .. })));
         let report = engine.shutdown();
         assert_eq!(report.nowcasts, 1);
         assert_eq!(report.metrics.nowcast_latency_ms.count(), 1);

@@ -17,9 +17,15 @@
 //! - **Tenants.** Optional per-tenant token-bucket quotas gate admission;
 //!   tenant weights bias the fair queue; the final report breaks counters
 //!   out per tenant and per tier.
-//! - **Replicas and caching.** Each tier runs a worker pool over N model
-//!   replicas, all sharing one content-addressed LRU rollout cache
-//!   (fast- and quality-tier entries live in disjoint namespaces).
+//! - **Caching.** Each tier's workers share the tier's one model, and both
+//!   tiers share one content-addressed LRU rollout cache (fast- and
+//!   quality-tier entries live in disjoint namespaces).
+//! - **One ledger.** Every request transition is counted once, keyed by
+//!   (tenant, tier, kind, outcome); the final report, the live `status()`
+//!   snapshot and the `completed()`/`shed()`/`nowcasts()` counters are all
+//!   derived from it. Forecasts and nowcasts share one request path.
+//! - **Two constructors.** `start` (quality only) and `start_two_tier`;
+//!   tracing is off until `engine.tracer().set_enabled(true)`.
 //!
 //! ```no_run
 //! use aeris_serve::{ForecastRequest, Forcings, ServeConfig, ServeEngine, Tier};
@@ -57,7 +63,7 @@
 //! Served forecasts are **bitwise identical** to a direct
 //! [`Forecaster::ensemble`] (quality tier) or `ConsistencyStudent::ensemble`
 //! (fast tier) call with the same inputs, regardless of worker count,
-//! replica count, batch composition, scheduling order, or cache hits — see
+//! batch composition, scheduling order, or cache hits — see
 //! the module docs of [`engine`] for the determinism argument.
 //!
 //! [`Forecaster`]: aeris_core::Forecaster
@@ -75,6 +81,6 @@ pub use api::{
 };
 pub use cache::{content_hash, CacheEntry, CacheKey, CacheStats, RolloutCache};
 pub use engine::{
-    ServeEngine, ServeEvent, ServeMetrics, ServeReport, ServeSloReport, TenantCounts, Ticket,
-    TierCounts,
+    RequestKind, ServeEngine, ServeEvent, ServeMetrics, ServeReport, ServeSloReport, TenantCounts,
+    Ticket, TierCounts,
 };

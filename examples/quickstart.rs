@@ -88,14 +88,10 @@ fn main() {
     //    engine and dump the span timeline as Chrome-trace JSON — load
     //    trace.json in Perfetto or chrome://tracing to see admission, cache
     //    lookups, batch assembly, and the batched model steps.
-    use aeris::obs::Tracer;
     use aeris::serve::{ForecastRequest, Forcings, ServeConfig, ServeEngine};
-    let tracer = Tracer::enabled();
-    let engine = ServeEngine::start_traced(
-        std::sync::Arc::new(forecaster),
-        ServeConfig::default(),
-        tracer.clone(),
-    );
+    let engine = ServeEngine::start(std::sync::Arc::new(forecaster), ServeConfig::default());
+    engine.tracer().set_enabled(true);
+    let tracer = engine.tracer().clone();
     let ticket = engine
         .submit(ForecastRequest {
             init: ds.state(i0).clone(),

@@ -246,12 +246,12 @@ fn serve_engine_emits_spans_counters_and_series() {
         ),
     });
 
-    let tracer = Tracer::enabled();
-    let engine = ServeEngine::start_traced(
+    let engine = ServeEngine::start(
         Arc::clone(&fc),
         ServeConfig { workers: 2, max_batch: 4, ..ServeConfig::default() },
-        tracer.clone(),
     );
+    engine.tracer().set_enabled(true);
+    let tracer = engine.tracer().clone();
     let (n_reqs, members) = (3u64, 2usize);
     // Same seed twice: the second submission replays the first's rollout
     // from the cache, so at least one lookup hits.
@@ -354,8 +354,7 @@ fn serve_engine_slo_flips_deterministically_and_status_exports() {
         tier: None,
     };
 
-    let tracer = Tracer::enabled();
-    let engine = ServeEngine::start_traced(
+    let engine = ServeEngine::start(
         Arc::clone(&fc),
         ServeConfig {
             // Budget 50%, short window 2, long window 8: after k bad
@@ -372,8 +371,9 @@ fn serve_engine_slo_flips_deterministically_and_status_exports() {
             }),
             ..ServeConfig::default()
         },
-        tracer.clone(),
     );
+    engine.tracer().set_enabled(true);
+    let tracer = engine.tracer().clone();
 
     // 8 good completions (one checked bitwise against the direct ensemble:
     // SLO tracking is a time-only policy and must not move numbers).

@@ -9,7 +9,9 @@
 //!   distilled fast tier and every one of them completes inside its
 //!   deadline while the quality tier grinds through full-sampler forecasts;
 //! - determinism: the fast tier returns the same bits whatever the worker
-//!   and replica counts, so scheduling policy never leaks into forecasts.
+//!   count, so scheduling policy never leaks into forecasts;
+//! - one ledger: the live status snapshot and counters agree with the
+//!   final report.
 
 use aeris::core::{AerisConfig, AerisModel, ConsistencyStudent, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
@@ -159,7 +161,32 @@ fn tight_deadline_nowcasts_meet_qos_on_the_fast_tier() {
         assert_eq!(t.wait().expect("forecast served").tier, Tier::Quality);
     }
 
+    // Read the live views after a drain (a ticket wakes a beat before its
+    // worker records the completion): they must equal the final report.
+    engine.drain();
+    let status = engine.status();
+    let live = (engine.completed(), engine.shed(), engine.nowcasts());
+
     let report = engine.shutdown();
+    assert_eq!(live, (report.completed, report.shed, report.nowcasts));
+    assert_eq!(status.tiers.len(), 2, "two-tier engine");
+    for t in &status.tiers {
+        let tier = if t.name == Tier::Fast.name() { Tier::Fast } else { Tier::Quality };
+        let r = report.tier(tier);
+        let live = (t.admitted, t.completed, t.shed);
+        assert_eq!(live, (r.admitted, r.completed, r.shed), "tier {}", t.name);
+    }
+    let live_tenants: Vec<_> = status
+        .tenants
+        .iter()
+        .map(|t| (t.name.clone(), [t.submitted, t.completed, t.shed, t.quota_denied, t.rejected]))
+        .collect();
+    let final_tenants: Vec<_> = report
+        .tenants
+        .iter()
+        .map(|(n, c)| (n.clone(), [c.submitted, c.completed, c.shed, c.quota_denied, c.rejected]))
+        .collect();
+    assert_eq!(live_tenants, final_tenants);
     // The QoS contract, read off the per-tier counters: all 4 nowcasts
     // completed on the fast tier, zero shed anywhere, and the quality tier
     // completed its 4 forecasts independently.
@@ -187,8 +214,8 @@ fn tight_deadline_nowcasts_meet_qos_on_the_fast_tier() {
 }
 
 /// Scheduling policy must never leak into forecast numbers: the fast tier
-/// returns bitwise-identical ensembles whatever the worker/replica counts,
-/// and they equal a direct student ensemble call.
+/// returns bitwise-identical ensembles whatever the worker count, and they
+/// equal a direct student ensemble call.
 #[test]
 fn fast_tier_bits_are_invariant_under_scheduling_configuration() {
     let fc = tiny_forecaster();
@@ -197,17 +224,17 @@ fn fast_tier_bits_are_invariant_under_scheduling_configuration() {
     req.n_members = 2;
     req.tier = Some(Tier::Fast);
     let direct = student.ensemble(&req.init, &|_k| Tensor::zeros(&[128, 3]), 3, 2, 77);
-    for (fast_workers, replicas) in [(1usize, 1usize), (2, 1), (4, 3)] {
+    for fast_workers in [1usize, 2, 4] {
         let engine = ServeEngine::start_two_tier(
             Arc::clone(&fc),
             Arc::clone(&student),
-            ServeConfig { fast_workers, replicas, ..ServeConfig::default() },
+            ServeConfig { fast_workers, ..ServeConfig::default() },
         );
         let resp = engine.submit(req.clone()).expect("admitted").wait().expect("served");
         assert_eq!(resp.tier, Tier::Fast);
         assert_eq!(
             resp.forecast.members, direct,
-            "fast tier diverged at {fast_workers} workers / {replicas} replicas"
+            "fast tier diverged at {fast_workers} workers"
         );
     }
 }

@@ -11,13 +11,17 @@
 //! - at least one model evaluation batches member-steps from multiple
 //!   requests, and at least one request is served from the rollout cache;
 //! - zero-deadline requests deterministically fail with `DeadlineExceeded`
-//!   and never corrupt other requests.
+//!   and never corrupt other requests;
+//! - a sampler config the solver cannot run is refused at admission for
+//!   both request kinds, so no worker panics and no ticket hangs.
 
+use aeris::assim::{GuidanceSchedule, ObsOperator};
 use aeris::core::{AerisConfig, AerisModel, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
-use aeris::earthsim::NormStats;
+use aeris::earthsim::{Grid, NormStats};
 use aeris::serve::{
-    ForecastRequest, Forcings, ServeConfig, ServeEngine, ServeError, ServeEvent, Tier,
+    ForecastRequest, Forcings, NowcastRequest, ServeConfig, ServeEngine, ServeError, ServeEvent,
+    Tier,
 };
 use aeris::tensor::{Rng, Tensor};
 use std::collections::{HashMap, HashSet};
@@ -28,6 +32,10 @@ const STEPS: usize = 2;
 const MEMBERS: usize = 2;
 
 fn tiny_forecaster() -> Arc<Forecaster> {
+    forecaster_with(SamplerConfig { n_steps: 2, churn: 0.1, second_order: false })
+}
+
+fn forecaster_with(sampler: SamplerConfig) -> Arc<Forecaster> {
     let cfg = AerisConfig::test_tiny();
     let channels = cfg.channels;
     let model = AerisModel::new(cfg);
@@ -36,10 +44,7 @@ fn tiny_forecaster() -> Arc<Forecaster> {
         model,
         res_stats: stats.clone(),
         stats,
-        sampler: TrigFlowSampler::new(
-            TrigFlow::default(),
-            SamplerConfig { n_steps: 2, churn: 0.1, second_order: false },
-        ),
+        sampler: TrigFlowSampler::new(TrigFlow::default(), sampler),
     })
 }
 
@@ -210,4 +215,37 @@ fn single_worker_batches_across_requests() {
         "expected one evaluation to batch member-steps from two requests"
     );
     report.verify_accounting().expect("request accounting must balance");
+}
+
+/// A forecaster whose sampler has no steps cannot run a single solver
+/// iteration. Both request kinds must be refused at admission with a typed
+/// error: an admitted forecast would panic its worker inside the sampler
+/// and leave the ticket unresolved. The test never waits on a ticket, so a
+/// regression fails an assert instead of hanging.
+#[test]
+fn unrunnable_sampler_config_is_refused_for_both_request_kinds() {
+    let engine = ServeEngine::start(
+        forecaster_with(SamplerConfig { n_steps: 0, churn: 0.1, second_order: false }),
+        ServeConfig::default(),
+    );
+    let forecast = engine.submit(request(1, None)).err();
+    assert!(matches!(forecast, Some(ServeError::BadRequest(_))), "forecast: {forecast:?}");
+    let op = ObsOperator::stations(&Grid::new(8, 16), 24, &[0, 1], &[0.5; 4], 3);
+    let nowcast = engine
+        .submit_nowcast(NowcastRequest {
+            background: init_for(2),
+            forcings: Forcings::Zeros { channels: 3 },
+            observations: Arc::new(op.observe(&init_for(3), 0.1, 4)),
+            schedule: GuidanceSchedule::Constant(0.3),
+            n_members: 1,
+            seed: 2,
+            deadline: None,
+            tenant: None,
+            tier: None,
+        })
+        .err();
+    assert!(matches!(nowcast, Some(ServeError::BadRequest(_))), "nowcast: {nowcast:?}");
+    let report = engine.shutdown();
+    report.verify_accounting().expect("request accounting must balance");
+    assert_eq!((report.completed, report.shed), (0, 0));
 }
