@@ -6,7 +6,7 @@
 use aeris_autodiff::Tape;
 use aeris_core::{AerisModel, TrainSample};
 use aeris_earthsim::NormStats;
-use aeris_nn::{AdamW, AdamWConfig, Binding};
+use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, Binding};
 use aeris_tensor::{Rng, Tensor};
 
 /// A deterministic residual-regression forecaster on the AERIS backbone.
@@ -45,13 +45,7 @@ impl DeterministicForecaster {
             let loss = tape.weighted_mse(out, &s.residual, weights);
             total += tape.value(loss).data()[0] as f64;
             let mut grads = tape.backward(loss);
-            for (slot, g) in acc.iter_mut().zip(binding.collect_grads(&mut grads)) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            accumulate_grads(&mut acc, binding.collect_grads(&mut grads));
         }
         let inv = 1.0 / batch.len() as f32;
         for g in acc.iter_mut().flatten() {

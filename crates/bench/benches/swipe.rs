@@ -6,7 +6,10 @@ use aeris_diffusion::loss_weights;
 use aeris_earthsim::Grid;
 use aeris_nn::AdamWConfig;
 use aeris_swipe::data::InMemorySource;
-use aeris_swipe::{CommClass, DistributedTrainer, FaultPlan, SwipeConfig, SwipeTopology, World};
+use aeris_obs::Tracer;
+use aeris_swipe::{
+    CommClass, CommConfig, DistributedTrainer, FaultPlan, SwipeConfig, SwipeTopology, World,
+};
 use aeris_tensor::{Rng, Tensor};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -56,7 +59,9 @@ fn bench_fault_hook_overhead(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let world = match &plan {
-                    Some(p) => World::with_faults(8, p.clone()),
+                    Some(p) => {
+                        World::with_config(8, CommConfig::default(), Some(p.clone()), Tracer::default())
+                    }
                     None => World::new(8),
                 };
                 let group: Vec<usize> = (0..8).collect();

@@ -27,5 +27,5 @@ pub mod training;
 pub use config::AerisConfig;
 pub use distill::{ConsistencyStudent, DistillConfig};
 pub use forecast::{EnsembleForecast, Forecaster, GuidedStepJob, StepJob};
-pub use model::AerisModel;
+pub use model::{AerisModel, BlockMods, SwinBlock};
 pub use training::{prepare_samples, TrainSample, Trainer, TrainerConfig};

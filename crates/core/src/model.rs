@@ -34,8 +34,9 @@ impl SwinBlock {
         }
     }
 
-    /// Forward one block over the full `[tokens, dim]` token matrix.
-    #[allow(clippy::too_many_arguments)]
+    /// Forward one block over the full `[tokens, dim]` token matrix: the
+    /// attention middle partitions into windows (rolled when shifted), runs
+    /// the fused all-windows attention, and merges back.
     fn forward(
         &self,
         tape: &mut Tape,
@@ -45,17 +46,7 @@ impl SwinBlock {
         cond: Var,
         geo: &BlockGeometry,
     ) -> Var {
-        let [shift1, scale1, gate1, shift2, scale2, gate2] =
-            self.adaln.forward(tape, binding, store, cond);
-        // scale enters as (1 + s) so the zero-initialized head is identity.
-        let scale1p = tape.add_scalar(scale1, 1.0);
-        let scale2p = tape.add_scalar(scale2, 1.0);
-
-        // ---- attention branch ----
-        let h = self.norm1.forward(tape, binding, store, x);
-        let h = tape.affine_rows(h, scale1p, shift1);
-        // Window partition (with cyclic roll when shifted), per-window
-        // attention, merge back.
+        let (h, mods) = self.pre_attention(tape, binding, store, x, cond);
         let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
         let inv = if self.shifted { &geo.shifted_inv } else { &geo.direct_inv };
         let windowed = tape.gather_rows(h, perm);
@@ -63,14 +54,48 @@ impl SwinBlock {
             self.attn
                 .forward_all_windows(tape, binding, store, windowed, &geo.rope, geo.grid.count());
         let h = tape.gather_rows(merged, inv);
-        let h = tape.mul_rows(h, gate1);
-        let x = tape.add(x, h);
+        self.post_attention(tape, binding, store, x, h, mods)
+    }
 
-        // ---- MLP branch ----
+    /// The block's pre-attention half: AdaLN modulations from `cond`, then
+    /// RMSNorm and modulate. Returns the attention input and the modulations
+    /// [`SwinBlock::post_attention`] needs.
+    pub fn pre_attention(
+        &self,
+        tape: &mut Tape,
+        binding: &mut Binding,
+        store: &ParamStore,
+        x: Var,
+        cond: Var,
+    ) -> (Var, BlockMods) {
+        let [shift1, scale1, gate1, shift2, scale2, gate2] =
+            self.adaln.forward(tape, binding, store, cond);
+        // scale enters as (1 + s) so the zero-initialized head is identity.
+        let scale1p = tape.add_scalar(scale1, 1.0);
+        let scale2p = tape.add_scalar(scale2, 1.0);
+        let h = self.norm1.forward(tape, binding, store, x);
+        let h = tape.affine_rows(h, scale1p, shift1);
+        (h, BlockMods { gate1, shift2, scale2p, gate2 })
+    }
+
+    /// The block's post-attention half around the attention output `attn`
+    /// (already projected by `W_o`): gated residual, then RMSNorm → modulate
+    /// → SwiGLU → gated residual.
+    pub fn post_attention(
+        &self,
+        tape: &mut Tape,
+        binding: &mut Binding,
+        store: &ParamStore,
+        x: Var,
+        attn: Var,
+        mods: BlockMods,
+    ) -> Var {
+        let h = tape.mul_rows(attn, mods.gate1);
+        let x = tape.add(x, h);
         let h = self.norm2.forward(tape, binding, store, x);
-        let h = tape.affine_rows(h, scale2p, shift2);
+        let h = tape.affine_rows(h, mods.scale2p, mods.shift2);
         let h = self.mlp.forward(tape, binding, store, h);
-        let h = tape.mul_rows(h, gate2);
+        let h = tape.mul_rows(h, mods.gate2);
         tape.add(x, h)
     }
 
@@ -82,6 +107,15 @@ impl SwinBlock {
             + self.mlp.num_params()
             + self.adaln.num_params()
     }
+}
+
+/// The AdaLN modulations a block's pre-attention half hands to its
+/// post-attention half.
+pub struct BlockMods {
+    gate1: Var,
+    shift2: Var,
+    scale2p: Var,
+    gate2: Var,
 }
 
 /// Precomputed geometry shared by all blocks.

@@ -6,7 +6,7 @@ use aeris_autodiff::Tape;
 use aeris_diffusion::{loss_weights, TrigFlow};
 use aeris_earthsim::{Dataset, Grid};
 use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
-use aeris_nn::{AdamW, AdamWConfig, Binding, Ema, LrSchedule, ParamId};
+use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, Binding, Ema, LrSchedule, ParamId};
 use aeris_tensor::{Rng, RngSnapshot, Tensor};
 use std::collections::HashMap;
 use std::io;
@@ -127,13 +127,7 @@ impl Trainer {
             let t = self.tf.sample_t(&mut self.rng);
             let (loss, grads) = self.sample_grads(model, sample, t);
             total_loss += loss;
-            for (slot, g) in acc.iter_mut().zip(grads) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            accumulate_grads(&mut acc, grads);
         }
         let inv = 1.0 / batch.len() as f32;
         for slot in acc.iter_mut().flatten() {

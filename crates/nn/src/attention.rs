@@ -51,22 +51,7 @@ impl WindowAttention {
         let q = self.wq.forward(tape, binding, store, x);
         let k = self.wk.forward(tape, binding, store, x);
         let v = self.wv.forward(tape, binding, store, x);
-
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut head_outs = Vec::with_capacity(self.n_heads);
-        for h in 0..self.n_heads {
-            let (c0, c1) = (h * self.head_dim, (h + 1) * self.head_dim);
-            let qh = tape.slice_cols(q, c0, c1);
-            let kh = tape.slice_cols(k, c0, c1);
-            let vh = tape.slice_cols(v, c0, c1);
-            let qh = tape.rope_rows(qh, &rope.cos, &rope.sin);
-            let kh = tape.rope_rows(kh, &rope.cos, &rope.sin);
-            let scores = tape.matmul_nt(qh, kh);
-            let scores = tape.scale(scores, scale);
-            let probs = tape.softmax_rows(scores);
-            head_outs.push(tape.matmul(probs, vh));
-        }
-        let merged = tape.concat_cols(&head_outs);
+        let merged = rope_attention_heads(tape, q, k, v, self.head_dim, rope);
         self.wo.forward(tape, binding, store, merged)
     }
 
@@ -104,6 +89,36 @@ impl WindowAttention {
     pub fn num_params(&self) -> usize {
         self.wq.num_params() + self.wk.num_params() + self.wv.num_params() + self.wo.num_params()
     }
+}
+
+/// Scaled dot-product attention of one window, head by head: `q`, `k`, `v`
+/// are `[s, heads·head_dim]` with each head a contiguous column block; each
+/// head's queries and keys are rotated by `rope`, and the heads' outputs are
+/// concatenated back into `[s, heads·head_dim]`.
+pub fn rope_attention_heads(
+    tape: &mut Tape,
+    q: Var,
+    k: Var,
+    v: Var,
+    head_dim: usize,
+    rope: &RopeTable,
+) -> Var {
+    let heads = tape.value(q).shape()[1] / head_dim;
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut head_outs = Vec::with_capacity(heads);
+    for h in 0..heads {
+        let (c0, c1) = (h * head_dim, (h + 1) * head_dim);
+        let qh = tape.slice_cols(q, c0, c1);
+        let kh = tape.slice_cols(k, c0, c1);
+        let vh = tape.slice_cols(v, c0, c1);
+        let qh = tape.rope_rows(qh, &rope.cos, &rope.sin);
+        let kh = tape.rope_rows(kh, &rope.cos, &rope.sin);
+        let scores = tape.matmul_nt(qh, kh);
+        let scores = tape.scale(scores, scale);
+        let probs = tape.softmax_rows(scores);
+        head_outs.push(tape.matmul(probs, vh));
+    }
+    tape.concat_cols(&head_outs)
 }
 
 #[cfg(test)]

@@ -27,13 +27,13 @@ pub mod rope;
 pub mod timecond;
 pub mod window;
 
-pub use attention::WindowAttention;
+pub use attention::{rope_attention_heads, WindowAttention};
 pub use checkpoint::{load_entries, load_params, save_entries, save_params};
 pub use ffn::SwiGlu;
 pub use linear::Linear;
 pub use norm::RmsNorm;
 pub use optim::{AdamW, AdamWConfig, Ema, LrSchedule};
-pub use params::{Binding, ParamId, ParamStore};
+pub use params::{accumulate_grads, Binding, ParamId, ParamStore};
 pub use posenc::pos_encoding_2d;
 pub use rope::RopeTable;
 pub use timecond::{timestep_features, TimeConditioner};

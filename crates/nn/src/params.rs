@@ -147,6 +147,19 @@ impl Binding {
     }
 }
 
+/// Fold one pass's per-parameter gradients into an accumulator: a present
+/// slot adds the new gradient, an empty slot takes it, and parameters the
+/// pass did not touch (`None`) leave their slot alone.
+pub fn accumulate_grads(acc: &mut [Option<Tensor>], grads: Vec<Option<Tensor>>) {
+    for (slot, g) in acc.iter_mut().zip(grads) {
+        match (slot.as_mut(), g) {
+            (Some(a), Some(g)) => a.add_assign(&g),
+            (None, Some(g)) => *slot = Some(g),
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -230,26 +230,18 @@ fn class_category(c: CommClass) -> SpanCategory {
 }
 
 impl World {
-    /// Create a world with `n` ranks, default timeouts, and no fault plan.
+    /// Create a world with `n` ranks, default timeouts, no fault plan, and
+    /// tracing disabled.
     pub fn new(n: usize) -> Self {
-        World::with_config(n, CommConfig::default(), None)
+        World::with_config(n, CommConfig::default(), None, Tracer::default())
     }
 
-    /// Create a world with a fault plan and default timeouts.
-    pub fn with_faults(n: usize, plan: FaultPlan) -> Self {
-        World::with_config(n, CommConfig::default(), Some(plan))
-    }
-
-    /// Create a world with explicit timeout policy and an optional fault
-    /// plan (tracing disabled: every span site costs one atomic load).
-    pub fn with_config(n: usize, config: CommConfig, plan: Option<FaultPlan>) -> Self {
-        World::with_tracer(n, config, plan, Tracer::default())
-    }
-
-    /// Create a world sharing an externally owned [`Tracer`]: every
-    /// communicator operation emits a span into it (when enabled), tagged
-    /// with the rank and the trainer-provided step/microbatch context.
-    pub fn with_tracer(
+    /// Create a world with an explicit timeout policy, an optional fault
+    /// plan, and a shared [`Tracer`]: every communicator operation emits a
+    /// span into it (when enabled; disabled, each span site costs one atomic
+    /// load), tagged with the rank and the trainer-provided step/microbatch
+    /// context.
+    pub fn with_config(
         n: usize,
         config: CommConfig,
         plan: Option<FaultPlan>,
@@ -923,6 +915,7 @@ mod tests {
             2,
             CommConfig { deadline: Duration::from_millis(50), ..CommConfig::default() },
             None,
+            Tracer::default(),
         );
         let mut c = world.communicator(1);
         let start = Instant::now();
@@ -949,7 +942,7 @@ mod tests {
     #[test]
     fn dropped_p2p_message_recovered_by_retransmit() {
         let plan = FaultPlan::new().drop_message(0, 1, 0, 2);
-        let world = World::with_faults(2, plan);
+        let world = World::with_config(2, CommConfig::default(), Some(plan), Tracer::default());
         thread::scope(|s| {
             let mut c0 = world.communicator(0);
             let mut c1 = world.communicator(1);

@@ -53,9 +53,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults). `World::with_faults(.., FaultPlan::new())`
-    /// exercises every hook with zero injected behavior — the configuration
-    /// the fault-hook overhead benchmark measures.
+    /// An empty plan (no faults). A world built with
+    /// `World::with_config(.., Some(FaultPlan::new()), ..)` exercises every
+    /// hook with zero injected behavior — the configuration the fault-hook
+    /// overhead benchmark measures.
     pub fn new() -> Self {
         FaultPlan::default()
     }

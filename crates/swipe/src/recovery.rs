@@ -6,7 +6,7 @@
 //! replica. The supervisor turns either into a resumable incident:
 //!
 //! 1. classify the failure ([`SwipeError::Comm`] / `AllReplicasLost` are
-//!    recoverable; stage, schedule, and checkpoint-validation errors are
+//!    recoverable; config and checkpoint-validation errors are
 //!    configuration bugs and surface as [`RecoveryError::Unrecoverable`]);
 //! 2. select the latest coordinated checkpoint in the configured directory
 //!    (none yet → restart from scratch) and point `resume_from` at it;
@@ -56,8 +56,8 @@ pub struct RecoveryConfig {
 /// Why supervised training gave up.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// The failure is not a crash: restarting cannot fix a stage, schedule,
-    /// or checkpoint-validation error.
+    /// The failure is not a crash: restarting cannot fix a config or
+    /// checkpoint-validation error.
     Unrecoverable { failure: TrainFailure },
     /// Every allowed restart was consumed; `last` is the final failure.
     RestartsExhausted { attempts: usize, last: TrainFailure },

@@ -15,44 +15,9 @@ pub enum Action {
     Backward(usize),
 }
 
-/// Why a schedule could not be constructed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// `stage` is not a valid stage index for `pp` pipeline stages.
-    StageOutOfRange { stage: usize, pp: usize },
-    /// The schedule needs at least one microbatch.
-    NoMicrobatches,
-}
-
-impl std::fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScheduleError::StageOutOfRange { stage, pp } => {
-                write!(f, "stage {stage} out of range for {pp} pipeline stages")
-            }
-            ScheduleError::NoMicrobatches => write!(f, "schedule requires gas >= 1"),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
 /// The 1F1B action list for `stage` of `pp` stages with `gas` microbatches.
-/// Panics on invalid arguments; [`try_one_f_one_b`] is the non-panicking
-/// variant the distributed trainer uses.
 pub fn one_f_one_b(stage: usize, pp: usize, gas: usize) -> Vec<Action> {
-    try_one_f_one_b(stage, pp, gas).unwrap()
-}
-
-/// The 1F1B action list, with invalid configurations reported as typed
-/// errors instead of panics.
-pub fn try_one_f_one_b(stage: usize, pp: usize, gas: usize) -> Result<Vec<Action>, ScheduleError> {
-    if stage >= pp {
-        return Err(ScheduleError::StageOutOfRange { stage, pp });
-    }
-    if gas == 0 {
-        return Err(ScheduleError::NoMicrobatches);
-    }
+    assert!(stage < pp, "stage {stage} out of range for {pp} pipeline stages");
     let warmup = (pp - stage - 1).min(gas);
     let mut actions = Vec::with_capacity(2 * gas);
     let mut next_fwd = 0;
@@ -73,7 +38,7 @@ pub fn try_one_f_one_b(stage: usize, pp: usize, gas: usize) -> Result<Vec<Action
         actions.push(Action::Backward(next_bwd));
         next_bwd += 1;
     }
-    Ok(actions)
+    actions
 }
 
 /// Analytical pipeline bubble fraction for 1F1B.
@@ -147,13 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_configurations_are_typed_errors() {
-        assert_eq!(
-            try_one_f_one_b(4, 4, 2),
-            Err(ScheduleError::StageOutOfRange { stage: 4, pp: 4 })
-        );
-        assert_eq!(try_one_f_one_b(0, 4, 0), Err(ScheduleError::NoMicrobatches));
-        assert!(!format!("{}", ScheduleError::NoMicrobatches).is_empty());
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_stage_panics() {
+        one_f_one_b(4, 4, 2);
     }
 
     #[test]

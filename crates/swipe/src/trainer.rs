@@ -5,6 +5,15 @@
 //! model-parallel ranks (§VI-B), gradient reduction over DP×WP×SP, and a
 //! ZeRO-1-style sharded optimizer (owner-updates + parameter broadcast).
 //!
+//! One step path serves every stage: a forward receives from the previous
+//! stage if there is one, runs the stage and sends to the next stage if there
+//! is one; a backward mirrors it over the same two route tables, computed
+//! once per rank at setup. Only data entry is per-kind (the input stage
+//! builds its `x_t` input, the head loads `v_target`). One per-rank `Zero1`
+//! value answers which group reduces each parameter and who owns it, for the
+//! reduction, the update and broadcast, checkpoints, rejoin and resume. The
+//! configuration is checked once, before any rank spawns.
+//!
 //! [`reference_grads`] computes the *same* objective on a single rank with
 //! the same noise realizations, enabling the distributed ≡ single-rank
 //! equivalence tests in `tests/`.
@@ -37,14 +46,14 @@ use crate::data::{gather, Field, WindowSource};
 use crate::events::{EventRecord, FaultEvent};
 use crate::fault::FaultPlan;
 use crate::layout::ActLayout;
-use crate::schedule::{try_one_f_one_b, Action, ScheduleError};
-use crate::stage::{StageError, StageKind, StageModel, StageRun};
+use crate::schedule::{one_f_one_b, Action};
+use crate::stage::{Stage, StageCtx, StageModel, StageRun};
 use crate::topology::{RankCoords, SwipeTopology};
 use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
 use aeris_nn::window::WindowGrid;
-use aeris_nn::{AdamW, AdamWConfig, ParamId, RopeTable};
+use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, ParamId, ParamStore, RopeTable};
 use aeris_obs::{SpanCategory, Tracer};
 use aeris_tensor::{Rng, Tensor};
 use parking_lot::Mutex;
@@ -156,12 +165,11 @@ impl std::fmt::Display for CheckpointError {
 /// A typed distributed-training failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SwipeError {
+    /// The model, topology or schedule cannot run together; found before
+    /// any rank spawns.
+    Config(String),
     /// A communication operation failed (timeout, dead peer, own crash).
     Comm(CommError),
-    /// Stage construction failed (reference/stage parameter mismatch).
-    Stage(StageError),
-    /// The pipeline schedule could not be built.
-    Schedule(ScheduleError),
     /// Checkpoint I/O or validation failed.
     Checkpoint(CheckpointError),
     /// Every data-parallel replica was lost to planned crashes.
@@ -171,9 +179,8 @@ pub enum SwipeError {
 impl std::fmt::Display for SwipeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SwipeError::Config(why) => write!(f, "invalid configuration: {why}"),
             SwipeError::Comm(e) => write!(f, "communication failure: {e}"),
-            SwipeError::Stage(e) => write!(f, "stage construction failure: {e}"),
-            SwipeError::Schedule(e) => write!(f, "schedule failure: {e}"),
             SwipeError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
             SwipeError::AllReplicasLost { step } => {
                 write!(f, "all data-parallel replicas lost by step {step}")
@@ -193,18 +200,6 @@ impl From<CheckpointError> for SwipeError {
 impl From<CommError> for SwipeError {
     fn from(e: CommError) -> Self {
         SwipeError::Comm(e)
-    }
-}
-
-impl From<StageError> for SwipeError {
-    fn from(e: StageError) -> Self {
-        SwipeError::Stage(e)
-    }
-}
-
-impl From<ScheduleError> for SwipeError {
-    fn from(e: ScheduleError) -> Self {
-        SwipeError::Schedule(e)
     }
 }
 
@@ -305,13 +300,7 @@ pub fn reference_grads(
             let loss = tape.weighted_mse(out, &v_target, weights);
             total_loss += tape.value(loss).data()[0] as f64;
             let mut grads = tape.backward(loss);
-            for (slot, g) in acc.iter_mut().zip(binding.collect_grads(&mut grads)) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            accumulate_grads(&mut acc, binding.collect_grads(&mut grads));
             count += 1;
         }
     }
@@ -410,6 +399,61 @@ pub fn checkpoint_step(path: &Path) -> Result<usize, SwipeError> {
     Ok(entry_u64(t).map_err(ckpt_io)? as usize)
 }
 
+/// Check that the model, topology and schedule can run together, so a bad
+/// configuration fails before any rank spawns instead of panicking inside
+/// one while its peers wait out the comm deadline.
+fn check_config(
+    reference: &AerisModel,
+    cfg: &SwipeConfig,
+    schedule: &[Vec<Vec<usize>>],
+) -> Result<(), SwipeError> {
+    let (m, topo) = (&reference.cfg, cfg.topo);
+    let grid = WindowGrid::new(m.grid_h, m.grid_w, m.window.0, m.window.1);
+    let blocks = reference.blocks.len();
+    let shape_ok = schedule.len() == cfg.n_steps
+        && schedule.iter().all(|s| s.len() == topo.dp && s.iter().all(|mb| mb.len() == cfg.gas));
+    let checks = [
+        (
+            blocks > 0 && topo.pp == blocks + 2,
+            format!("pp = {} must equal blocks + 2 = {} (separate I/O stages)", topo.pp, blocks + 2),
+        ),
+        (
+            m.blocks_per_layer == 1,
+            format!("blocks_per_layer = {}, but a stage holds one block per layer", m.blocks_per_layer),
+        ),
+        (
+            m.n_heads.is_multiple_of(topo.sp),
+            format!("sp = {} must divide n_heads = {}", topo.sp, m.n_heads),
+        ),
+        (
+            grid.rows().is_multiple_of(topo.wp_a) && grid.cols().is_multiple_of(topo.wp_b),
+            format!(
+                "wp = {}x{} must divide the {}x{} window grid",
+                topo.wp_a,
+                topo.wp_b,
+                grid.rows(),
+                grid.cols()
+            ),
+        ),
+        (
+            grid.window_len().is_multiple_of(topo.sp),
+            format!("sp = {} must divide the {}-token window", topo.sp, grid.window_len()),
+        ),
+        (cfg.gas >= 1, "gas must be at least 1".to_string()),
+        (
+            shape_ok,
+            format!(
+                "schedule must be [n_steps = {}][dp = {}][gas = {}] sample indices",
+                cfg.n_steps, topo.dp, cfg.gas
+            ),
+        ),
+    ];
+    match checks.into_iter().find(|(ok, _)| !ok) {
+        Some((_, why)) => Err(SwipeError::Config(why)),
+        None => Ok(()),
+    }
+}
+
 /// The distributed trainer entry point.
 pub struct DistributedTrainer;
 
@@ -419,10 +463,11 @@ impl DistributedTrainer {
     /// [dp]` lists the GAS sample indices each data-parallel replica consumes
     /// at that step.
     ///
-    /// Fails with a typed [`TrainFailure`] — carrying the fault log — if a
-    /// rank dies mid-step or a communication deadline expires; completes with
-    /// a degraded (DP-shrunk) run when crashes are planned at step
-    /// boundaries.
+    /// Fails with a typed [`TrainFailure`] — carrying the fault log — if the
+    /// configuration cannot run ([`SwipeError::Config`], before any rank
+    /// spawns), a rank dies mid-step or a communication deadline expires;
+    /// completes with a degraded (DP-shrunk) run when crashes are planned at
+    /// step boundaries.
     pub fn train(
         reference: &AerisModel,
         cfg: &SwipeConfig,
@@ -430,21 +475,11 @@ impl DistributedTrainer {
         schedule: &[Vec<Vec<usize>>],
         weights: &Tensor,
     ) -> Result<TrainReport, TrainFailure> {
+        check_config(reference, cfg, schedule)
+            .map_err(|error| TrainFailure { error, events: Vec::new() })?;
         let topo = cfg.topo;
-        assert_eq!(
-            topo.pp,
-            reference.cfg.n_layers * reference.cfg.blocks_per_layer + 2,
-            "pipeline stages must equal blocks + 2 (separated I/O/embedding stages)"
-        );
-        assert_eq!(schedule.len(), cfg.n_steps);
-        for s in schedule {
-            assert_eq!(s.len(), topo.dp);
-            for micro in s {
-                assert_eq!(micro.len(), cfg.gas);
-            }
-        }
         let world =
-            World::with_tracer(topo.world_size(), cfg.comm, cfg.faults.clone(), cfg.tracer.clone());
+            World::with_config(topo.world_size(), cfg.comm, cfg.faults.clone(), cfg.tracer.clone());
         let fail = |error: SwipeError, world: &World| TrainFailure {
             error,
             events: world.events().snapshot(),
@@ -457,31 +492,26 @@ impl DistributedTrainer {
             },
             None => None,
         };
-        let start_step = resume.as_ref().map_or(0, |r| r.start_step);
-        let reference = resume.as_ref().map_or(reference, |r| &r.model);
-        let resume_opt = resume.as_ref().map(|r| (&r.moments, r.adamw_steps));
-
-        let losses: Mutex<Vec<f64>> = Mutex::new(vec![0.0; cfg.n_steps]);
-        let final_params: Mutex<HashMap<String, Tensor>> = Mutex::new(HashMap::new());
-        let ckpt_buf: Mutex<HashMap<String, Tensor>> = Mutex::new(HashMap::new());
-        let max_act = AtomicUsize::new(0);
+        let job = Job {
+            cfg,
+            reference: resume.as_ref().map_or(reference, |r| &r.model),
+            source,
+            schedule,
+            weights,
+            resume: resume.as_ref(),
+            losses: Mutex::new(vec![0.0; cfg.n_steps]),
+            final_params: Mutex::new(HashMap::new()),
+            ckpt_buf: Mutex::new(HashMap::new()),
+            max_act: AtomicUsize::new(0),
+        };
         let errors: Mutex<Vec<SwipeError>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
             for rank in 0..topo.world_size() {
                 let comm = world.communicator(rank);
-                let world = world.clone();
-                let losses = &losses;
-                let final_params = &final_params;
-                let ckpt_buf = &ckpt_buf;
-                let max_act = &max_act;
-                let errors = &errors;
+                let (world, job, errors) = (world.clone(), &job, &errors);
                 scope.spawn(move || {
-                    let result = run_rank(
-                        comm, topo, cfg, reference, source, schedule, weights, losses,
-                        final_params, ckpt_buf, max_act, start_step, resume_opt,
-                    );
-                    if let Err(e) = result {
+                    if let Err(e) = run_rank(comm, job) {
                         // A failed rank can no longer feed its peers: mark it
                         // dead so their waits collapse into fast PeerDead
                         // errors instead of sleeping out the full deadline.
@@ -496,131 +526,243 @@ impl DistributedTrainer {
             return Err(fail(e, &world));
         }
         Ok(TrainReport {
-            losses: losses.into_inner(),
-            start_step,
+            losses: job.losses.into_inner(),
+            start_step: resume.as_ref().map_or(0, |r| r.start_step),
             traffic: world.traffic(),
-            max_activation_elems: max_act.load(Ordering::Relaxed),
-            final_params: final_params.into_inner(),
+            max_activation_elems: job.max_act.load(Ordering::Relaxed),
+            final_params: job.final_params.into_inner(),
             events: world.events().snapshot(),
             comm_ops: world.op_counts(),
         })
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    mut comm: Communicator,
-    topo: SwipeTopology,
-    cfg: &SwipeConfig,
-    reference: &AerisModel,
-    source: &(dyn WindowSource + Sync),
-    schedule: &[Vec<Vec<usize>>],
-    weights: &Tensor,
-    losses: &Mutex<Vec<f64>>,
-    final_params: &Mutex<HashMap<String, Tensor>>,
-    ckpt_buf: &Mutex<HashMap<String, Tensor>>,
-    max_act: &AtomicUsize,
-    start_step: usize,
-    resume_opt: Option<(&HashMap<String, Tensor>, u64)>,
-) -> Result<(), SwipeError> {
+/// One training run as every rank thread sees it: the inputs, the resume
+/// state, and the sinks ranks report into.
+struct Job<'a> {
+    cfg: &'a SwipeConfig,
+    /// Starting parameters (the checkpoint's when resuming).
+    reference: &'a AerisModel,
+    source: &'a (dyn WindowSource + Sync),
+    schedule: &'a [Vec<Vec<usize>>],
+    weights: &'a Tensor,
+    resume: Option<&'a ResumeState>,
+    losses: Mutex<Vec<f64>>,
+    final_params: Mutex<HashMap<String, Tensor>>,
+    ckpt_buf: Mutex<HashMap<String, Tensor>>,
+    max_act: AtomicUsize,
+}
+
+/// Hybrid ZeRO-1 (ORBIT-style) for one rank: which group reduces each stage
+/// parameter's gradient, which rank owns its AdamW moments, and the moments.
+///
+/// Moments shard *within* each data-parallel replica and replicate *across*
+/// replicas. Every owner sees the same reduced gradient and therefore the
+/// same moment history, so parameters evolve bitwise as with global sharding
+/// — but the owner groups never change size when replicas retire or rejoin,
+/// which keeps ownership stable under membership churn and lets any live
+/// replica re-shard a rejoining one positionally. Gradient reduction still
+/// spans the full cross-replica groups, shrunk to the live replicas.
+struct Zero1 {
+    rank: usize,
+    opt: AdamW,
+    /// Per parameter: a shared time-conditioner parameter? Those live in
+    /// every block stage (not in the edge stages), so they reduce over and
+    /// shard across all block stages instead of this stage's ranks.
+    shared: Vec<bool>,
+    /// Owner groups within this rank's replica: `[stage-local, shared]`.
+    owners: [Vec<usize>; 2],
+    /// Reduction groups over all replicas, and over this step's live ones.
+    reduce_all: [Vec<usize>; 2],
+    reduce_live: [Vec<usize>; 2],
+}
+
+impl Zero1 {
+    fn new(topo: &SwipeTopology, rank: usize, stage_model: &StageModel, adamw: AdamWConfig) -> Self {
+        let coords = topo.coords_of(rank);
+        let shared_ixs = stage_model.shared_param_ixs();
+        let reduce_all = [topo.grad_group(coords), topo.block_stage_ranks()];
+        Zero1 {
+            rank,
+            opt: AdamW::new(&stage_model.store, adamw),
+            shared: (0..stage_model.store.len()).map(|i| shared_ixs.contains(&i)).collect(),
+            owners: [topo.replica_grad_group(coords), topo.replica_shared_group(coords.dp)],
+            reduce_live: reduce_all.clone(),
+            reduce_all,
+        }
+    }
+
+    /// Shrink the reduction groups to the replicas live this step.
+    fn set_live(&mut self, topo: &SwipeTopology, dead_dps: &[usize]) {
+        self.reduce_live = self.reduce_all.each_ref().map(|g| topo.filter_live(g, dead_dps));
+    }
+
+    /// The live group that reduces parameter `i`'s gradient.
+    fn reduce_group(&self, i: usize) -> &[usize] {
+        &self.reduce_live[self.shared[i] as usize]
+    }
+
+    /// Parameter `i`'s owner group within the replica, and the owner's index.
+    fn owner(&self, i: usize) -> (&[usize], usize) {
+        let group = &self.owners[self.shared[i] as usize];
+        (group, i % group.len())
+    }
+
+    /// Whether this rank owns parameter `i` (updates it, holds its moments).
+    fn owns(&self, i: usize) -> bool {
+        let (group, ix) = self.owner(i);
+        group[ix] == self.rank
+    }
+
+    /// Install the `(m, v)` moments of every parameter this rank owns, taken
+    /// in store order from `next(name)`, and the AdamW step counter. Both
+    /// checkpoint resume and the rejoin re-shard restore through here.
+    fn install_moments(
+        &mut self,
+        store: &ParamStore,
+        steps: u64,
+        mut next: impl FnMut(&str) -> Result<(Tensor, Tensor), SwipeError>,
+    ) -> Result<(), SwipeError> {
+        for i in 0..store.len() {
+            if !self.owns(i) {
+                continue;
+            }
+            let name = store.name(ParamId(i));
+            let (m, v) = next(name)?;
+            let (m_slot, v_slot) = self.opt.state_mut(i);
+            if m.shape() != m_slot.shape() || v.shape() != v_slot.shape() {
+                return Err(CheckpointError::ShapeMismatch { name: name.to_string() }.into());
+            }
+            (*m_slot, *v_slot) = (m, v);
+        }
+        self.opt.set_steps(steps);
+        Ok(())
+    }
+}
+
+/// The data-parallel replicas dead at `step` under the fault plan, sorted.
+fn dead_dps_at(topo: &SwipeTopology, plan: Option<&FaultPlan>, step: usize) -> Vec<usize> {
+    plan.map_or_else(Vec::new, |p| topo.dead_dps(&p.dead_ranks_at(step)))
+}
+
+/// The canonical replica is the lowest live dp: its wp (0,0), sp 0 ranks
+/// hold one copy of every parameter and its ZeRO-1 owners one copy of every
+/// moment. Returns (`coords` is on it, `coords` holds its parameter copy).
+fn canonical(topo: &SwipeTopology, coords: RankCoords, dead_dps: &[usize]) -> (bool, bool) {
+    let dp = (0..topo.dp).find(|dp| !dead_dps.contains(dp)).unwrap_or(0);
+    let on = coords.dp == dp;
+    (on, on && coords.wp_row == 0 && coords.wp_col == 0 && coords.sp == 0)
+}
+
+/// One rank's side of a stage-to-stage relayout: per peer rank, the local
+/// rows exchanged with it, in message order.
+type Route = Vec<(usize, Vec<usize>)>;
+
+/// Send `value`'s rows to each peer of `route`: activations to the next
+/// stage, input gradients back to the previous one.
+fn send_rows(comm: &mut Communicator, route: &Route, value: &Tensor) -> Result<(), CommError> {
+    for (peer, rows) in route {
+        comm.send(*peer, CommClass::P2p, vec![gather(value, rows)])?;
+    }
+    Ok(())
+}
+
+/// Receive each peer's rows of `route` into a `[rows, dim]` matrix: the
+/// pipeline wait, so it runs inside a Bubble span.
+fn recv_rows(
+    comm: &mut Communicator,
+    route: &Route,
+    rows: usize,
+    dim: usize,
+) -> Result<Tensor, CommError> {
+    let _bubble = comm.trace_span(SpanCategory::Bubble);
+    let mut out = Tensor::zeros(&[rows, dim]);
+    for (peer, local_rows) in route {
+        let payload = comm.recv(*peer)?.pop().unwrap();
+        for (i, &r) in local_rows.iter().enumerate() {
+            out.row_mut(r).copy_from_slice(payload.row(i));
+        }
+    }
+    Ok(out)
+}
+
+/// One rank's run: setup, then per step the elastic boundary, the 1F1B
+/// pipeline over its stage, gradient reduction, the ZeRO-1 update, loss
+/// reporting and the optional checkpoint.
+fn run_rank(mut comm: Communicator, job: &Job) -> Result<(), SwipeError> {
+    let (cfg, reference) = (job.cfg, job.reference);
+    let topo = cfg.topo;
     let coords = topo.coords_of(comm.rank());
     let mcfg = &reference.cfg;
-    let grid = WindowGrid::new(mcfg.grid_h, mcfg.grid_w, mcfg.window.0, mcfg.window.1);
-    let n_blocks = topo.pp - 2;
     let tf = TrigFlow::default();
+    let start_step = job.resume.map_or(0, |r| r.start_step);
 
-    let kind = match coords.stage {
-        0 => StageKind::Input,
-        s if s == topo.pp - 1 => StageKind::Head,
-        s => StageKind::Block(s - 1),
-    };
-    let stage_model = StageModel::from_reference(reference, kind)?;
+    let mut stage_model = StageModel::from_reference(reference, coords.stage);
+    let mut zero1 = Zero1::new(&topo, comm.rank(), &stage_model, cfg.adamw);
+    if let Some(r) = job.resume {
+        zero1.install_moments(&stage_model.store, r.adamw_steps, |name| {
+            let get = |key: String| {
+                r.moments.get(&key).cloned().ok_or(CheckpointError::MissingEntry(key))
+            };
+            Ok((get(format!("opt.m/{name}"))?, get(format!("opt.v/{name}"))?))
+        })?;
+    }
 
-    // Layouts: stage 0 uses block 0's layout; block b its own; head uses the
-    // last block's.
-    let block_layout = |b: usize| {
-        ActLayout::new(grid, reference.blocks[b].shifted, topo.wp_a, topo.wp_b, topo.sp)
+    // A block stage uses its block's layout; the input stage shares the
+    // first block's and the head the last block's. Activations arrive over
+    // `inbound` and leave over `outbound`; gradients retrace both backwards.
+    let grid = WindowGrid::new(mcfg.grid_h, mcfg.grid_w, mcfg.window.0, mcfg.window.1);
+    let layout = |stage: usize| {
+        let shifted = reference.blocks[stage.clamp(1, topo.pp - 2) - 1].shifted;
+        ActLayout::new(grid, shifted, topo.wp_a, topo.wp_b, topo.sp)
     };
-    let my_layout = match kind {
-        StageKind::Input => block_layout(0),
-        StageKind::Block(b) => block_layout(b),
-        StageKind::Head => block_layout(n_blocks - 1),
+    let my_layout = layout(coords.stage);
+    let (ra, rb, sp) = (coords.wp_row, coords.wp_col, coords.sp);
+    let peer = |c: RankCoords, (wp_row, wp_col, sp): (usize, usize, usize)| {
+        topo.rank_of(RankCoords { wp_row, wp_col, sp, ..c })
     };
-    let next_layout = match kind {
-        StageKind::Input => Some(block_layout(0)),
-        StageKind::Block(b) if b + 1 < n_blocks => Some(block_layout(b + 1)),
-        StageKind::Block(b) => {
-            debug_assert_eq!(b, n_blocks - 1);
-            Some(block_layout(n_blocks - 1))
-        }
-        StageKind::Head => None,
-    };
-    let prev_layout = match kind {
-        StageKind::Input => None,
-        StageKind::Block(0) => Some(block_layout(0)),
-        StageKind::Block(b) => Some(block_layout(b - 1)),
-        StageKind::Head => Some(block_layout(n_blocks - 1)),
-    };
+    let inbound: Option<Route> = topo.prev_stage(coords).map(|prev| {
+        ActLayout::routing_from(&layout(prev.stage), &my_layout, ra, rb, sp)
+            .into_iter()
+            .map(|(src, msg)| (peer(prev, src), msg.dst_rows))
+            .collect()
+    });
+    let outbound: Option<Route> = topo.next_stage(coords).map(|next| {
+        my_layout
+            .routing_to(&layout(next.stage), ra, rb, sp)
+            .into_iter()
+            .map(|msg| (peer(next, msg.dst), msg.src_rows))
+            .collect()
+    });
 
     let rope = RopeTable::new(mcfg.window.0, mcfg.window.1, mcfg.head_dim(), 0, 0);
     let sp_group = topo.sp_group(coords);
-    let my_tokens = my_layout.tokens_of(coords.wp_row, coords.wp_col, coords.sp);
-    let my_pos: Tensor = {
-        let mut t = Tensor::zeros(&[my_tokens.len()]);
-        for (i, &tok) in my_tokens.iter().enumerate() {
-            t.data_mut()[i] = reference.pos_field.data()[tok];
-        }
-        t
+    let my_tokens = my_layout.tokens_of(ra, rb, sp);
+    let my_pos = Tensor::from_slice(
+        &my_tokens.iter().map(|&tok| reference.pos_field.data()[tok]).collect::<Vec<_>>(),
+    );
+    let weight_rows = gather(job.weights, &my_tokens);
+    let ctx =
+        StageCtx { layout: &my_layout, rope: &rope, sp_group: &sp_group, weight_rows: &weight_rows };
+    let (rows, dim) = (my_layout.rows_per_rank(), mcfg.dim);
+    // Data entry, on this rank's token rows: the input stage builds its
+    // input around x_t, the head loads its velocity target.
+    let load = |sample: usize, field: Field| job.source.load_rows(sample, field, &my_tokens);
+    let noise = |sample: usize| noise_rows(cfg.seed, sample, &my_tokens, mcfg.channels);
+    let input_rows = |sample: usize, t: f32| {
+        let x_t = tf.interpolate(&load(sample, Field::Residual), &noise(sample), t);
+        let (prev, forc) = (load(sample, Field::Prev), load(sample, Field::Forcing));
+        let cat = Tensor::concat_cols(&[&x_t, &prev, &forc]);
+        aeris_nn::posenc::add_pos_encoding(&cat, &my_pos)
     };
-    let my_weight_rows = gather(weights, &my_tokens);
+    let target_rows =
+        |sample: usize, t: f32| tf.velocity_target(&load(sample, Field::Residual), &noise(sample), t);
+    let is_head = matches!(stage_model.stage, Stage::Head { .. });
 
-    // Gradient reduction still spans the full cross-replica groups: the
-    // stage's DP×WP×SP group for stage-local params, and (for the shared
-    // time-conditioner params, which the edge stages do not hold) the
-    // interior stages across all replicas.
-    let grad_group = topo.grad_group(coords);
-    let all_ranks = topo.all_ranks();
-    let shared_group = topo.block_stage_ranks();
-    let shared_ixs: Vec<usize> = stage_model.shared_param_ixs();
-    // Hybrid ZeRO-1 ownership (ORBIT-style): optimizer moments shard
-    // *within* each data-parallel replica and replicate *across* replicas.
-    // Every owner sees the same reduced gradient and therefore the same
-    // moment history, so parameters evolve bitwise as with global sharding —
-    // but the owner groups never change size when replicas retire or rejoin,
-    // which keeps moment ownership stable under membership churn and lets
-    // any live replica re-shard a rejoining one positionally.
-    let replica_group = topo.replica_grad_group(coords);
-    let replica_shared = topo.replica_shared_group(coords.dp);
-    let mut opt = AdamW::new(&stage_model.store, cfg.adamw);
-    let mut stage_model = stage_model;
-
-    // Checkpoint-restart: rehydrate this rank's optimizer slice. Every
-    // parameter's moments are in the checkpoint (saved by its owner at save
-    // time); loading them everywhere is harmless — non-owners never read
-    // their moment slots.
-    if let Some((moments, adamw_steps)) = resume_opt {
-        for i in 0..stage_model.store.len() {
-            let name = stage_model.store.name(ParamId(i)).to_string();
-            for (prefix, slot) in [("opt.m/", 0usize), ("opt.v/", 1usize)] {
-                if let Some(saved) = moments.get(&format!("{prefix}{name}")) {
-                    let state = opt.state_mut(i);
-                    let target = if slot == 0 { state.0 } else { state.1 };
-                    if saved.shape() != target.shape() {
-                        return Err(CheckpointError::ShapeMismatch {
-                            name: format!("{prefix}{name}"),
-                        }
-                        .into());
-                    }
-                    *target = saved.clone();
-                }
-            }
-        }
-        opt.set_steps(adamw_steps);
-    }
-
-    let actions = try_one_f_one_b(coords.stage, topo.pp, cfg.gas)?;
-    let dim = mcfg.dim;
+    let actions = one_f_one_b(coords.stage, topo.pp, cfg.gas);
     let tracer = comm.world().tracer().clone();
+    let plan = cfg.faults.as_ref();
+    let all_ranks = topo.all_ranks();
     let mut prev_live_dp = topo.dp;
     // Elastic state: `Some(guard)` while this rank is parked waiting out a
     // fault window; the open Outage span closes at rejoin, so balanced
@@ -630,15 +772,11 @@ fn run_rank(
 
     for step in start_step..cfg.n_steps {
         comm.set_trace_step(step as u64);
-        let plan = cfg.faults.as_ref();
         // ---- step-boundary fault-plan reconfiguration ----
         // The plan is shared knowledge: every rank derives the same dead set
         // for this step without any agreement protocol.
         let crashed_now = comm.planned_crash(step);
-        let dead_dps = match plan {
-            Some(p) => topo.dead_dps(&p.dead_ranks_at(step)),
-            None => Vec::new(),
-        };
+        let dead_dps = dead_dps_at(&topo, plan, step);
         let live_dp = topo.dp - dead_dps.len();
         let all_live = topo.filter_live(&all_ranks, &dead_dps);
         if live_dp != prev_live_dp {
@@ -665,10 +803,9 @@ fn run_rank(
                 }
                 // Park only if the replica is scheduled to come back inside
                 // this run; otherwise retire for good (the shrink-only path).
-                let rejoins = plan.is_some_and(|p| {
-                    (step + 1..cfg.n_steps)
-                        .any(|s| !topo.dead_dps(&p.dead_ranks_at(s)).contains(&coords.dp))
-                });
+                let rejoins = plan.is_some()
+                    && (step + 1..cfg.n_steps)
+                        .any(|s| !dead_dps_at(&topo, plan, s).contains(&coords.dp));
                 if !rejoins {
                     return Ok(());
                 }
@@ -685,13 +822,13 @@ fn run_rank(
         // this boundary *before issuing any step traffic*, so nobody can
         // observe a stale dead flag on a peer it is about to wait on (the
         // revive is idempotent across ranks).
-        let rejoining_dps: Vec<usize> = match plan {
-            Some(p) if step > start_step => topo
-                .dead_dps(&p.dead_ranks_at(step - 1))
+        let rejoining_dps: Vec<usize> = if step > start_step {
+            dead_dps_at(&topo, plan, step - 1)
                 .into_iter()
                 .filter(|dp| !dead_dps.contains(dp))
-                .collect(),
-            _ => Vec::new(),
+                .collect()
+        } else {
+            Vec::new()
         };
         for &dp in &rejoining_dps {
             for stage in 0..topo.pp {
@@ -719,198 +856,83 @@ fn run_rank(
             let donor = topo.rank_of(RankCoords { dp: donor_dp, ..coords });
             let _reshard = comm.trace_span(SpanCategory::Recovery).label("reshard_recv");
             let payload = comm.recv(donor)?;
-            apply_rejoin_state(
-                &mut stage_model, &mut opt, &shared_ixs, &replica_group, &replica_shared,
-                comm.rank(), payload,
-            );
+            apply_rejoin_state(&mut stage_model, &mut zero1, payload)?;
         } else if !rejoining_dps.is_empty() && donor_dp(&topo, &dead_dps, &rejoining_dps) == Some(coords.dp)
         {
             // Donor side: the lowest replica that stayed live across the
             // boundary re-shards its state to each rejoining replica's
-            // same-coordinates rank. One message carries the full parameter
-            // set (store order), the moment pairs this position owns under
-            // the within-replica sharding (identical positions own identical
-            // shards in every replica), and the AdamW step counter.
+            // same-coordinates rank.
             let _reshard = comm.trace_span(SpanCategory::Recovery).label("reshard_send");
-            let payload = rejoin_state_payload(
-                &stage_model, &opt, &shared_ixs, &replica_group, &replica_shared, comm.rank(),
-            );
+            let payload = rejoin_state_payload(&stage_model, &zero1);
             for &dp in &rejoining_dps {
                 let dst = topo.rank_of(RankCoords { dp, ..coords });
                 comm.send(dst, CommClass::AllGather, payload.clone())?;
             }
         }
-        let grad_group_live = topo.filter_live(&grad_group, &dead_dps);
-        let shared_group_live = topo.filter_live(&shared_group, &dead_dps);
+        zero1.set_live(&topo, &dead_dps);
 
+        // ---- the 1F1B pipeline: receive, run the stage, send ----
         let mut runs: HashMap<usize, StageRun> = HashMap::new();
         let mut grads: Vec<Option<Tensor>> = vec![None; stage_model.store.len()];
         let mut my_loss = 0.0f64;
-
         for action in &actions {
             match *action {
                 Action::Forward(m) => {
                     comm.set_trace_micro(Some(m as u64));
-                    let sample = schedule[step][coords.dp][m];
+                    let sample = job.schedule[step][coords.dp][m];
                     let t = shared_t(&tf, cfg.seed, step, coords.dp, m);
-                    match kind {
-                        StageKind::Input => {
-                            let run = {
-                                let _fwd = comm.trace_span(SpanCategory::Forward);
-                                let x0 = source.load_rows(sample, Field::Residual, &my_tokens);
-                                let prev = source.load_rows(sample, Field::Prev, &my_tokens);
-                                let forc = source.load_rows(sample, Field::Forcing, &my_tokens);
-                                let z = noise_rows(cfg.seed, sample, &my_tokens, mcfg.channels);
-                                let x_t = tf.interpolate(&x0, &z, t);
-                                let cat = Tensor::concat_cols(&[&x_t, &prev, &forc]);
-                                let input = aeris_nn::posenc::add_pos_encoding(&cat, &my_pos);
-                                stage_model.forward_input(input)
-                            };
-                            send_relayout(
-                                &mut comm, &topo, coords, &my_layout,
-                                next_layout.as_ref().unwrap(),
-                                run.tape.value(run.out),
-                            )?;
-                            runs.insert(m, run);
-                        }
-                        StageKind::Block(_) => {
-                            let x_in = {
-                                // Pipeline wait: blocked until the previous
-                                // stage's activations arrive.
-                                let _bubble = comm.trace_span(SpanCategory::Bubble);
-                                recv_relayout(
-                                    &mut comm, &topo, coords, prev_layout.as_ref().unwrap(),
-                                    &my_layout, my_layout.rows_per_rank(), dim,
-                                )?
-                            };
-                            let run = {
-                                let _fwd = comm.trace_span(SpanCategory::Forward);
-                                stage_model.forward_block(
-                                    x_in, t, &my_layout, &rope, &mut comm, &sp_group,
-                                )?
-                            };
-                            send_relayout(
-                                &mut comm, &topo, coords, &my_layout,
-                                next_layout.as_ref().unwrap(),
-                                run.tape.value(run.out),
-                            )?;
-                            runs.insert(m, run);
-                        }
-                        StageKind::Head => {
-                            let x_in = {
-                                let _bubble = comm.trace_span(SpanCategory::Bubble);
-                                recv_relayout(
-                                    &mut comm, &topo, coords, prev_layout.as_ref().unwrap(),
-                                    &my_layout, my_layout.rows_per_rank(), dim,
-                                )?
-                            };
-                            let _fwd = comm.trace_span(SpanCategory::Forward);
-                            let x0 = source.load_rows(sample, Field::Residual, &my_tokens);
-                            let z = noise_rows(cfg.seed, sample, &my_tokens, mcfg.channels);
-                            let v_target = tf.velocity_target(&x0, &z, t);
-                            let run = stage_model.forward_head(
-                                x_in, &v_target, &my_weight_rows, mcfg.tokens(),
-                            );
-                            my_loss += run.loss;
-                            runs.insert(m, run);
-                        }
+                    let x_in = inbound.as_ref().map(|r| recv_rows(&mut comm, r, rows, dim)).transpose()?;
+                    let run = {
+                        let _fwd = comm.trace_span(SpanCategory::Forward);
+                        let x_in = x_in.unwrap_or_else(|| input_rows(sample, t));
+                        let target = is_head.then(|| target_rows(sample, t));
+                        stage_model.forward(x_in, target.as_ref(), t, &ctx, &mut comm)?
+                    };
+                    if let Some(route) = &outbound {
+                        send_rows(&mut comm, route, run.tape.value(run.out))?;
                     }
+                    my_loss += run.loss;
+                    runs.insert(m, run);
                 }
                 Action::Backward(m) => {
                     comm.set_trace_micro(Some(m as u64));
                     let run = runs.remove(&m).expect("forward before backward");
-                    match kind {
-                        StageKind::Head => {
-                            let g_in = {
-                                let _bwd = comm.trace_span(SpanCategory::Backward);
-                                stage_model.backward_head(run, &mut grads)
-                            };
-                            send_grads_back(
-                                &mut comm, &topo, coords, prev_layout.as_ref().unwrap(),
-                                &my_layout, &g_in,
-                            )?;
-                        }
-                        StageKind::Block(_) => {
-                            let g_out = {
-                                let _bubble = comm.trace_span(SpanCategory::Bubble);
-                                recv_grads_back(
-                                    &mut comm, &topo, coords, &my_layout,
-                                    next_layout.as_ref().unwrap(),
-                                    my_layout.rows_per_rank(), dim,
-                                )?
-                            };
-                            let g_in = {
-                                let _bwd = comm.trace_span(SpanCategory::Backward);
-                                stage_model.backward_block(
-                                    run, g_out, &mut comm, &sp_group, &mut grads,
-                                )?
-                            };
-                            send_grads_back(
-                                &mut comm, &topo, coords, prev_layout.as_ref().unwrap(),
-                                &my_layout, &g_in,
-                            )?;
-                        }
-                        StageKind::Input => {
-                            let g_out = {
-                                let _bubble = comm.trace_span(SpanCategory::Bubble);
-                                recv_grads_back(
-                                    &mut comm, &topo, coords, &my_layout,
-                                    next_layout.as_ref().unwrap(),
-                                    my_layout.rows_per_rank(), dim,
-                                )?
-                            };
-                            let _bwd = comm.trace_span(SpanCategory::Backward);
-                            stage_model.backward_input(run, g_out, &mut grads);
-                        }
+                    let g_out = outbound.as_ref().map(|r| recv_rows(&mut comm, r, rows, dim)).transpose()?;
+                    let g_in = {
+                        let _bwd = comm.trace_span(SpanCategory::Backward);
+                        stage_model.backward(run, g_out, &ctx, &mut comm, &mut grads)?
+                    };
+                    if let (Some(route), Some(g_in)) = (&inbound, g_in) {
+                        send_rows(&mut comm, route, &g_in)?;
                     }
                 }
             }
             // Activation accounting: all in-flight microbatch tapes.
             let live: usize = runs.values().map(|r| r.activation_elems()).sum();
-            max_act.fetch_max(live, Ordering::Relaxed);
+            job.max_act.fetch_max(live, Ordering::Relaxed);
         }
 
         // ---- gradient reduction (rescaled to the surviving global batch) ----
+        // Only a parameter's owner keeps the reduced gradient: it alone
+        // updates the parameter.
         comm.set_trace_micro(None);
         let gbs = (live_dp * cfg.gas) as f32;
-        for i in 0..stage_model.store.len() {
-            let shape = stage_model.store.get(ParamId(i)).shape().to_vec();
-            let local = grads[i].take().unwrap_or_else(|| Tensor::zeros(&shape));
-            let group: &[usize] =
-                if shared_ixs.contains(&i) { &shared_group_live } else { &grad_group_live };
-            let mut reduced = comm.allreduce_sum(group, &local)?;
+        for i in 0..grads.len() {
+            let local = grads[i]
+                .take()
+                .unwrap_or_else(|| Tensor::zeros(stage_model.store.get(ParamId(i)).shape()));
+            let mut reduced = comm.allreduce_sum(zero1.reduce_group(i), &local)?;
             reduced.scale_inplace(1.0 / gbs);
-            grads[i] = Some(reduced);
+            grads[i] = zero1.owns(i).then_some(reduced);
         }
 
-        // ---- ZeRO-1 sharded optimizer (hybrid, within-replica) ----
-        // Each parameter's within-replica owner updates it with AdamW state,
-        // then broadcasts the fresh value inside the replica. Owner groups
-        // never shrink (live replicas are always whole), and every replica's
-        // owners compute bitwise-identical updates from the shared reduced
-        // gradient.
+        // ---- ZeRO-1 update: owners step AdamW, then broadcast in-replica ----
         let _opt_span = comm.trace_span(SpanCategory::OptimizerStep);
-        let mut own_grads: Vec<Option<Tensor>> = vec![None; stage_model.store.len()];
-        for i in 0..stage_model.store.len() {
-            let group: &[usize] =
-                if shared_ixs.contains(&i) { &replica_shared } else { &replica_group };
-            let owner = group[i % group.len()];
-            if owner == comm.rank() {
-                own_grads[i] = grads[i].take();
-            }
-        }
-        opt.step(&mut stage_model.store, &own_grads, cfg.lr);
-        for i in 0..stage_model.store.len() {
-            let group: &[usize] =
-                if shared_ixs.contains(&i) { &replica_shared } else { &replica_group };
-            let owner_ix = i % group.len();
-            let value = if group[owner_ix] == comm.rank() {
-                Some(stage_model.store.get(ParamId(i)).clone())
-            } else {
-                None
-            };
-            let fresh = comm.broadcast(group, owner_ix, value)?;
-            *stage_model.store.get_mut(ParamId(i)) = fresh;
+        zero1.opt.step(&mut stage_model.store, &grads, cfg.lr);
+        for i in 0..grads.len() {
+            let (group, owner_ix) = zero1.owner(i);
+            let value = zero1.owns(i).then(|| stage_model.store.get(ParamId(i)).clone());
+            *stage_model.store.get_mut(ParamId(i)) = comm.broadcast(group, owner_ix, value)?;
         }
         drop(_opt_span);
 
@@ -919,32 +941,20 @@ fn run_rank(
             .allreduce_sum(&all_live, &Tensor::from_slice(&[my_loss as f32]))?
             .data()[0] as f64;
         if comm.rank() == all_live[0] {
-            losses.lock()[step] = loss_sum / (live_dp * cfg.gas) as f64;
+            job.losses.lock()[step] = loss_sum / (live_dp * cfg.gas) as f64;
         }
 
         // ---- coordinated checkpoint ----
-        let due = cfg
-            .checkpoint
-            .as_ref()
-            .filter(|c| c.every > 0 && (step + 1) % c.every == 0);
-        if let Some(ck) = due {
+        if cfg.checkpoint.as_ref().is_some_and(|c| c.every > 0 && (step + 1) % c.every == 0) {
             let _ckpt = comm.trace_span(SpanCategory::Checkpoint);
-            save_checkpoint(
-                &mut comm, &topo, cfg, coords, &stage_model, &opt, &shared_ixs,
-                &replica_group, &replica_shared, &all_live, &dead_dps, ckpt_buf, ck, step,
-            )?;
+            save_checkpoint(&mut comm, job, &stage_model, &zero1, &all_live, &dead_dps, step)?;
         }
     }
 
-    // Contribute final params from the canonical (lowest surviving dp)
-    // replica.
-    let final_dead = match cfg.faults.as_ref() {
-        Some(plan) => topo.dead_dps(&plan.dead_ranks_at(cfg.n_steps.saturating_sub(1))),
-        None => Vec::new(),
-    };
-    let canonical_dp = (0..topo.dp).find(|dp| !final_dead.contains(dp)).unwrap_or(0);
-    if coords.dp == canonical_dp && coords.wp_row == 0 && coords.wp_col == 0 && coords.sp == 0 {
-        let mut fp = final_params.lock();
+    // Contribute final params from the canonical replica.
+    let final_dead = dead_dps_at(&topo, plan, cfg.n_steps.saturating_sub(1));
+    if canonical(&topo, coords, &final_dead).1 {
+        let mut fp = job.final_params.lock();
         for (_, name, v) in stage_model.store.iter() {
             // Shared params exist on every block stage; one copy suffices
             // (they are kept in sync by construction).
@@ -956,43 +966,30 @@ fn run_rank(
 
 /// Coordinated checkpoint save: each rank contributes its slice into the
 /// shared buffer, everyone synchronizes, and the lowest live rank writes the
-/// file. The canonical (lowest surviving dp) replica covers everything: its
-/// wp=(0,0)/sp=0 ranks cover parameters, and its within-replica ZeRO-1
-/// owners cover the AdamW moments (moments are replicated across replicas
-/// under hybrid sharding, so one replica's copy is the global truth). The
-/// result is world-size independent along the data-parallel axis — any DP
-/// width restores it by re-deriving positional ownership.
-#[allow(clippy::too_many_arguments)]
+/// file. The [`canonical`] replica covers everything (moments are replicated
+/// across replicas under hybrid sharding, so one replica's copy is the global
+/// truth). The result is world-size independent along the data-parallel axis
+/// — any DP width restores it by re-deriving positional ownership.
 fn save_checkpoint(
     comm: &mut Communicator,
-    topo: &SwipeTopology,
-    cfg: &SwipeConfig,
-    coords: RankCoords,
+    job: &Job,
     stage_model: &StageModel,
-    opt: &AdamW,
-    shared_ixs: &[usize],
-    replica_group: &[usize],
-    replica_shared: &[usize],
+    zero1: &Zero1,
     all_live: &[usize],
     dead_dps: &[usize],
-    ckpt_buf: &Mutex<HashMap<String, Tensor>>,
-    ck: &CheckpointConfig,
     step: usize,
 ) -> Result<(), SwipeError> {
-    let canonical_dp = (0..topo.dp).find(|dp| !dead_dps.contains(dp)).unwrap_or(0);
-    let canonical =
-        coords.dp == canonical_dp && coords.wp_row == 0 && coords.wp_col == 0 && coords.sp == 0;
+    let (cfg, topo) = (job.cfg, job.cfg.topo);
+    let ck = cfg.checkpoint.as_ref().expect("checkpointing is configured");
+    let (on_canonical, holds_params) = canonical(&topo, topo.coords_of(comm.rank()), dead_dps);
     {
-        let mut buf = ckpt_buf.lock();
-        for i in 0..stage_model.store.len() {
-            let name = stage_model.store.name(ParamId(i)).to_string();
-            if canonical {
-                buf.insert(format!("param/{name}"), stage_model.store.get(ParamId(i)).clone());
+        let mut buf = job.ckpt_buf.lock();
+        for (id, name, value) in stage_model.store.iter() {
+            if holds_params {
+                buf.insert(format!("param/{name}"), value.clone());
             }
-            let group: &[usize] =
-                if shared_ixs.contains(&i) { replica_shared } else { replica_group };
-            if coords.dp == canonical_dp && group[i % group.len()] == comm.rank() {
-                let (m, v) = opt.state(i);
+            if on_canonical && zero1.owns(id.0) {
+                let (m, v) = zero1.opt.state(id.0);
                 buf.insert(format!("opt.m/{name}"), m.clone());
                 buf.insert(format!("opt.v/{name}"), v.clone());
             }
@@ -1002,12 +999,12 @@ fn save_checkpoint(
     comm.barrier(all_live)?;
     if comm.rank() == all_live[0] {
         let mut entries: Vec<(String, Tensor)> = {
-            let mut buf = ckpt_buf.lock();
+            let mut buf = job.ckpt_buf.lock();
             std::mem::take(&mut *buf).into_iter().collect()
         };
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries.push(u64_entry("meta/step", (step + 1) as u64));
-        entries.push(u64_entry("meta/adamw_steps", opt.steps()));
+        entries.push(u64_entry("meta/adamw_steps", zero1.opt.steps()));
         entries.push(u64_entry("meta/world", topo.world_size() as u64));
         entries.push(u64_entry("meta/seed", cfg.seed));
         entries.push(u64_entry("meta/topo_dp", topo.dp as u64));
@@ -1040,172 +1037,41 @@ fn donor_dp(topo: &SwipeTopology, dead_dps: &[usize], rejoining_dps: &[usize]) -
 
 /// The single-message state transfer a donor sends each rejoiner: every
 /// stage parameter in store order, then the (m, v) moment pair of each
-/// parameter this position owns under the within-replica ZeRO-1 sharding,
-/// then the bit-encoded AdamW step counter. The rejoiner's same-coordinates
-/// rank owns exactly the same positions, so no index map is transferred.
-fn rejoin_state_payload(
-    stage_model: &StageModel,
-    opt: &AdamW,
-    shared_ixs: &[usize],
-    replica_group: &[usize],
-    replica_shared: &[usize],
-    rank: usize,
-) -> Vec<Tensor> {
-    let n = stage_model.store.len();
-    let mut payload = Vec::with_capacity(n + 1);
-    for i in 0..n {
-        payload.push(stage_model.store.get(ParamId(i)).clone());
+/// parameter this position owns, then the bit-encoded AdamW step counter.
+/// The rejoiner's same-coordinates rank owns exactly the same positions, so
+/// no index map is transferred.
+fn rejoin_state_payload(stage_model: &StageModel, zero1: &Zero1) -> Vec<Tensor> {
+    let store = &stage_model.store;
+    let mut payload: Vec<Tensor> = store.iter().map(|(_, _, v)| v.clone()).collect();
+    for i in (0..store.len()).filter(|&i| zero1.owns(i)) {
+        let (m, v) = zero1.opt.state(i);
+        payload.extend([m.clone(), v.clone()]);
     }
-    for i in 0..n {
-        let group: &[usize] = if shared_ixs.contains(&i) { replica_shared } else { replica_group };
-        if group[i % group.len()] == rank {
-            let (m, v) = opt.state(i);
-            payload.push(m.clone());
-            payload.push(v.clone());
-        }
-    }
-    payload.push(u64_entry("", opt.steps()).1);
+    payload.push(u64_entry("", zero1.opt.steps()).1);
     payload
 }
 
 /// Apply a donor's re-shard payload (inverse of [`rejoin_state_payload`];
-/// both sides derive the owned set positionally, so layout mismatches are
-/// protocol bugs, not runtime conditions — hence the asserts).
+/// both sides derive the owned set positionally, so a short or long payload
+/// is a protocol bug, not a runtime condition — hence the panics).
 fn apply_rejoin_state(
     stage_model: &mut StageModel,
-    opt: &mut AdamW,
-    shared_ixs: &[usize],
-    replica_group: &[usize],
-    replica_shared: &[usize],
-    rank: usize,
-    payload: Vec<Tensor>,
-) {
-    let n = stage_model.store.len();
-    let mut it = payload.into_iter();
-    for i in 0..n {
-        let fresh = it.next().expect("re-shard payload missing a parameter");
-        assert_eq!(fresh.shape(), stage_model.store.get(ParamId(i)).shape());
-        *stage_model.store.get_mut(ParamId(i)) = fresh;
-    }
-    for i in 0..n {
-        let group: &[usize] = if shared_ixs.contains(&i) { replica_shared } else { replica_group };
-        if group[i % group.len()] == rank {
-            let m = it.next().expect("re-shard payload missing a first moment");
-            let v = it.next().expect("re-shard payload missing a second moment");
-            let (m_slot, v_slot) = opt.state_mut(i);
-            assert_eq!(m.shape(), m_slot.shape());
-            *m_slot = m;
-            *v_slot = v;
-        }
-    }
-    let steps = entry_u64(&it.next().expect("re-shard payload missing the step counter"))
+    zero1: &mut Zero1,
+    mut payload: Vec<Tensor>,
+) -> Result<(), SwipeError> {
+    let steps = entry_u64(&payload.pop().expect("re-shard payload missing the step counter"))
         .expect("malformed step counter in re-shard payload");
-    opt.set_steps(steps);
+    let mut it = payload.into_iter();
+    let store = &mut stage_model.store;
+    for i in 0..store.len() {
+        let fresh = it.next().expect("re-shard payload missing a parameter");
+        assert_eq!(fresh.shape(), store.get(ParamId(i)).shape());
+        *store.get_mut(ParamId(i)) = fresh;
+    }
+    zero1.install_moments(store, steps, |_| {
+        let mut moment = || it.next().expect("re-shard payload missing a moment");
+        Ok((moment(), moment()))
+    })?;
     assert!(it.next().is_none(), "re-shard payload has trailing tensors");
-}
-
-/// Send a relayouted activation to the next stage.
-fn send_relayout(
-    comm: &mut Communicator,
-    topo: &SwipeTopology,
-    coords: RankCoords,
-    src_layout: &ActLayout,
-    dst_layout: &ActLayout,
-    value: &Tensor,
-) -> Result<(), CommError> {
-    for msg in src_layout.routing_to(dst_layout, coords.wp_row, coords.wp_col, coords.sp) {
-        let dst_rank = topo.rank_of(RankCoords {
-            dp: coords.dp,
-            stage: coords.stage + 1,
-            wp_row: msg.dst.0,
-            wp_col: msg.dst.1,
-            sp: msg.dst.2,
-        });
-        let payload = gather(value, &msg.src_rows);
-        comm.send(dst_rank, CommClass::P2p, vec![payload])?;
-    }
     Ok(())
-}
-
-/// Receive a relayouted activation from the previous stage.
-fn recv_relayout(
-    comm: &mut Communicator,
-    topo: &SwipeTopology,
-    coords: RankCoords,
-    src_layout: &ActLayout,
-    dst_layout: &ActLayout,
-    rows: usize,
-    dim: usize,
-) -> Result<Tensor, CommError> {
-    let mut out = Tensor::zeros(&[rows, dim]);
-    for ((ra, rb, sp), msg) in
-        ActLayout::routing_from(src_layout, dst_layout, coords.wp_row, coords.wp_col, coords.sp)
-    {
-        let src_rank = topo.rank_of(RankCoords {
-            dp: coords.dp,
-            stage: coords.stage - 1,
-            wp_row: ra,
-            wp_col: rb,
-            sp,
-        });
-        let payload = comm.recv(src_rank)?.pop().unwrap();
-        for (i, &drow) in msg.dst_rows.iter().enumerate() {
-            out.row_mut(drow).copy_from_slice(payload.row(i));
-        }
-    }
-    Ok(out)
-}
-
-/// Send input-gradients back to the previous stage (transpose of
-/// [`recv_relayout`]).
-fn send_grads_back(
-    comm: &mut Communicator,
-    topo: &SwipeTopology,
-    coords: RankCoords,
-    src_layout: &ActLayout,
-    dst_layout: &ActLayout,
-    g_in: &Tensor,
-) -> Result<(), CommError> {
-    for ((ra, rb, sp), msg) in
-        ActLayout::routing_from(src_layout, dst_layout, coords.wp_row, coords.wp_col, coords.sp)
-    {
-        let src_rank = topo.rank_of(RankCoords {
-            dp: coords.dp,
-            stage: coords.stage - 1,
-            wp_row: ra,
-            wp_col: rb,
-            sp,
-        });
-        let payload = gather(g_in, &msg.dst_rows);
-        comm.send(src_rank, CommClass::P2p, vec![payload])?;
-    }
-    Ok(())
-}
-
-/// Receive output-gradients from the next stage (transpose of
-/// [`send_relayout`]).
-fn recv_grads_back(
-    comm: &mut Communicator,
-    topo: &SwipeTopology,
-    coords: RankCoords,
-    src_layout: &ActLayout,
-    dst_layout: &ActLayout,
-    rows: usize,
-    dim: usize,
-) -> Result<Tensor, CommError> {
-    let mut out = Tensor::zeros(&[rows, dim]);
-    for msg in src_layout.routing_to(dst_layout, coords.wp_row, coords.wp_col, coords.sp) {
-        let dst_rank = topo.rank_of(RankCoords {
-            dp: coords.dp,
-            stage: coords.stage + 1,
-            wp_row: msg.dst.0,
-            wp_col: msg.dst.1,
-            sp: msg.dst.2,
-        });
-        let payload = comm.recv(dst_rank)?.pop().unwrap();
-        for (i, &srow) in msg.src_rows.iter().enumerate() {
-            out.row_mut(srow).copy_from_slice(payload.row(i));
-        }
-    }
-    Ok(out)
 }

@@ -4,68 +4,15 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use aeris_core::{AerisConfig, AerisModel, TrainSample};
-use aeris_diffusion::loss_weights;
-use aeris_earthsim::Grid;
+use aeris_core::AerisModel;
 use aeris_nn::{AdamW, AdamWConfig, ParamId};
 use aeris_swipe::data::{InMemorySource, StoreBackedSource};
 use aeris_swipe::trainer::reference_grads;
 use aeris_swipe::{CommClass, DistributedTrainer, SwipeConfig, SwipeTopology};
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::Tensor;
 
-fn tiny_cfg() -> AerisConfig {
-    AerisConfig {
-        grid_h: 8,
-        grid_w: 16,
-        channels: 4,
-        forcing_channels: 3,
-        dim: 16,
-        n_heads: 2,
-        ffn: 32,
-        n_layers: 2,
-        blocks_per_layer: 1,
-        window: (4, 4),
-        time_feat_dim: 16,
-        cond_dim: 24,
-        pos_amp: 0.1,
-        seed: 11,
-    }
-}
-
-fn random_samples(n: usize, tokens: usize, channels: usize) -> Vec<TrainSample> {
-    let mut rng = Rng::seed_from(77);
-    (0..n)
-        .map(|_| TrainSample {
-            x_prev: Tensor::randn(&[tokens, channels], &mut rng),
-            residual: Tensor::randn(&[tokens, channels], &mut rng).scale(0.3),
-            forcings: Tensor::randn(&[tokens, 3], &mut rng),
-        })
-        .collect()
-}
-
-fn weights_for(cfg: &AerisConfig) -> Tensor {
-    let grid = Grid::new(cfg.grid_h, cfg.grid_w);
-    loss_weights(&grid.token_lat_weights(), &vec![1.0; cfg.channels])
-}
-
-fn schedule(n_steps: usize, dp: usize, gas: usize, n_samples: usize) -> Vec<Vec<Vec<usize>>> {
-    let mut ix = 0usize;
-    (0..n_steps)
-        .map(|_| {
-            (0..dp)
-                .map(|_| {
-                    (0..gas)
-                        .map(|_| {
-                            let s = ix % n_samples;
-                            ix += 1;
-                            s
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
+mod common;
+use common::{random_samples, schedule, tiny_cfg, weights_for};
 
 /// Apply the reference AdamW step using named grads.
 fn reference_opt_step(model: &mut AerisModel, opt: &mut AdamW, named: &std::collections::HashMap<String, Tensor>, lr: f32) {
