@@ -3,8 +3,11 @@
 //! 1. residual (Δx) vs full-field prediction — rollout stability,
 //! 2. log-uniform vs uniform diffusion-time prior — tail coverage / val loss,
 //! 3. churn on vs off — ensemble spread,
+//! 4. 1st- vs 2nd-order solver — time per 10-step sample,
+//! 5. window shift — velocity time with vs without the shifted block.
 //!
-//! (Window-shift and solver-order ablations live in the criterion benches.)
+//! Sections 4 and 5 run on the untrained `AerisConfig::test_tiny` model and
+//! are timed with [`aeris_bench::measure`] (median ± interquartile spread).
 
 use aeris_bench::*;
 use aeris_core::{prepare_samples, AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig};
@@ -69,6 +72,52 @@ fn main() {
         println!("  churn {churn:>4.1}: T2m ensemble spread {spread:.3} K");
     }
     println!("Expected: churn adds calibrated stochasticity → larger spread.");
+
+    // ---- 4. solver order ----
+    header("4. 1st- vs 2nd-order solver (ms per 10-step sample)");
+    let tiny = AerisModel::new(AerisConfig::test_tiny());
+    let mut rng = Rng::seed_from(3);
+    let prev = Tensor::randn(&[128, 4], &mut rng);
+    let forc = Tensor::randn(&[128, 3], &mut rng);
+    for (label, second_order) in [("first_order_10", false), ("second_order_10", true)] {
+        let sampler = TrigFlowSampler::new(
+            TrigFlow::default(),
+            SamplerConfig { n_steps: 10, churn: 0.1, second_order },
+        );
+        let m = measure(TIMING_REPS, || {
+            let mut vel = |x: &Tensor, t: f32| tiny.velocity(x, &prev, &forc, t);
+            let mut r = Rng::seed_from(4);
+            std::hint::black_box(sampler.sample(&[128, 4], &mut vel, &mut r));
+        });
+        println!("  {label:<22} {}", ms(&m));
+    }
+    println!("Expected: 2S costs 2 network evals per step (~2x), but needs about");
+    println!("half the steps for the same accuracy (sampler unit tests).");
+
+    // ---- 5. window shift ----
+    header("5. window shift (ms per velocity evaluation)");
+    for (label, n_layers) in [("with_shift", 2usize), ("no_shift_single", 1)] {
+        let cfg = AerisConfig { n_layers, blocks_per_layer: 1, ..AerisConfig::test_tiny() };
+        let model = AerisModel::new(cfg);
+        let mut rng = Rng::seed_from(5);
+        let x_t = Tensor::randn(&[128, 4], &mut rng);
+        let prev = Tensor::randn(&[128, 4], &mut rng);
+        let forc = Tensor::randn(&[128, 3], &mut rng);
+        let m = measure(TIMING_REPS, || {
+            std::hint::black_box(model.velocity(std::hint::black_box(&x_t), &prev, &forc, 0.5));
+        });
+        println!("  {label:<22} {}", ms(&m));
+    }
+    println!("Expected: the shifted layer adds only gather permutations, so its");
+    println!("cost is about one more unshifted layer — no extra communication.");
+}
+
+/// Timed calls per row of the timing ablations (4 and 5).
+const TIMING_REPS: usize = 10;
+
+/// `median ± spread` of `m` in milliseconds.
+fn ms(m: &Measurement) -> String {
+    format!("{:8.3} ± {:.3} ms", m.median() * 1e3, m.spread() * 1e3)
 }
 
 /// Train a model whose diffusion target is the standardized next state.

@@ -17,48 +17,17 @@
 //! ```
 
 use aeris_assim::{nowcast_member, GuidanceSchedule, ObsOperator};
-use aeris_bench::{header, toy_model_config, toy_vars};
-use aeris_core::{AerisModel, Forecaster};
-use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
-use aeris_earthsim::{Grid, NormStats};
+use aeris_bench::{header, measure, untrained_forecaster};
+use aeris_diffusion::SamplerConfig;
+use aeris_earthsim::Grid;
 use aeris_evaluation::{analysis_quality, AssimEvalConfig};
 use aeris_tensor::{Rng, Tensor};
 use std::sync::Arc;
-use std::time::Instant;
-
-fn forecaster() -> Forecaster {
-    let cfg = toy_model_config(&toy_vars());
-    let channels = cfg.channels;
-    let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
-    Forecaster {
-        model: AerisModel::new(cfg),
-        res_stats: stats.clone(),
-        stats,
-        sampler: TrigFlowSampler::new(
-            TrigFlow::default(),
-            SamplerConfig { n_steps: 4, churn: 0.0, second_order: true },
-        ),
-    }
-}
-
-/// Median seconds per call of `f` over `reps` timed calls (one warmup).
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
 
 fn main() {
     let full = std::env::var("AERIS_FULL").map(|v| v == "1").unwrap_or(false);
     let reps = if full { 15 } else { 7 };
-    let fc = forecaster();
+    let fc = untrained_forecaster(SamplerConfig { n_steps: 4, churn: 0.0, second_order: true });
     let cfg = &fc.model.cfg;
     let (tokens, channels) = (cfg.tokens(), cfg.channels);
     let grid = Grid::new(cfg.grid_h, cfg.grid_w);
@@ -69,28 +38,34 @@ fn main() {
 
     // 1. guided-step overhead vs observation density.
     header("Guided-step overhead vs observation density");
-    println!("{:<16}{:>12}{:>12}{:>12}", "stations", "plain ms", "guided ms", "overhead");
+    println!(
+        "{:<16}{:>12}{:>12}{:>12}{:>12}",
+        "stations", "plain ms", "guided ms", "overhead", "± guided"
+    );
     let noise = 0.5f32;
     let base_op = ObsOperator::stations(&grid, 8, &[0, 1], &vec![noise; channels], 5);
     let base_obs = Arc::new(base_op.observe(&truth, 0.0, 6));
-    let plain_ms = time_median(reps, || {
+    let plain = measure(reps, || {
         let a = nowcast_member(
             &fc, &background, &forc, &base_obs, GuidanceSchedule::off(), 9, 0,
         );
         std::hint::black_box(&a);
-    }) * 1e3;
+    });
+    let plain_ms = plain.median() * 1e3;
     let mut overhead_rows = Vec::new();
     for n_stations in [8usize, 32, tokens / 2, tokens] {
         let op = ObsOperator::stations(&grid, n_stations, &[0, 1], &vec![noise; channels], 5);
         let obs = Arc::new(op.observe(&truth, 0.0, 6));
-        let guided_ms = time_median(reps, || {
+        let guided = measure(reps, || {
             let a = nowcast_member(
                 &fc, &background, &forc, &obs, GuidanceSchedule::Constant(0.05), 9, 0,
             );
             std::hint::black_box(&a);
-        }) * 1e3;
-        let pct = (guided_ms - plain_ms) / plain_ms * 100.0;
-        println!("{n_stations:<16}{plain_ms:>12.3}{guided_ms:>12.3}{pct:>+11.2}%");
+        });
+        let guided_ms = guided.median() * 1e3;
+        let pct = guided.overhead_pct(&plain);
+        let sd = guided.spread() * 1e3;
+        println!("{n_stations:<16}{plain_ms:>12.3}{guided_ms:>12.3}{pct:>+11.2}%{sd:>12.3}");
         overhead_rows.push(format!(
             "{{\"stations\": {n_stations}, \"plain_ms\": {plain_ms:.4}, \
              \"guided_ms\": {guided_ms:.4}, \"overhead_pct\": {pct:.3}}}"

@@ -19,10 +19,10 @@ use aeris_core::{AerisConfig, AerisModel, TrainSample, Trainer, TrainerConfig};
 use aeris_earthsim::Grid;
 use aeris_nn::RopeTable;
 use aeris_obs::{MetricSeries, Tracer};
+use aeris_bench::{measure, Measurement};
 use aeris_tensor::{
     matmul, matmul_bf16, matmul_nt, matmul_nt_bf16, matmul_tn, matmul_tn_bf16, Rng, Tensor,
 };
-use std::time::Instant;
 
 /// Thread counts to sweep: 1, 2, and the machine width, deduplicated.
 fn thread_counts() -> Vec<usize> {
@@ -33,20 +33,37 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Best-of-`reps` seconds per call of `f`, after one warmup call. Each timed
-/// rep is also recorded (in milliseconds) into `series` for the Prometheus
-/// export.
-fn time_best(reps: usize, series: &MetricSeries, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        let secs = t0.elapsed().as_secs_f64();
+/// Best-of-`reps` timing of `f` through [`measure`]; every timed rep is
+/// also recorded (in milliseconds) into `series` for the Prometheus export.
+fn measure_into(reps: usize, series: &MetricSeries, f: impl FnMut()) -> Measurement {
+    let m = measure(reps, f);
+    for secs in m.secs() {
         series.record(secs * 1e3);
-        best = best.min(secs);
     }
-    best
+    m
+}
+
+/// One `{t}T value ±spread%` cell per measured thread count, where `value`
+/// is `per_secs` applied to the best-of time.
+fn cells(rows: &[Measurement], per_secs: impl Fn(f64) -> f64) -> String {
+    let cells: Vec<String> = rows
+        .iter()
+        .map(|m| {
+            let pct = m.spread() / m.median() * 100.0;
+            format!("{}T {:7.2} ±{pct:.1}%", m.threads, per_secs(m.min()))
+        })
+        .collect();
+    cells.join("  ")
+}
+
+/// `{"threads": t, "<key>": value}` per measured thread count, where `value`
+/// is `f` applied to the best-of time.
+fn rows_json(rows: &[Measurement], key: &str, prec: usize, f: impl Fn(f64) -> f64) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|m| format!("{{\"threads\": {}, \"{key}\": {:.prec$}}}", m.threads, f(m.min())))
+        .collect();
+    rows.join(", ")
 }
 
 struct GemmResult {
@@ -54,32 +71,35 @@ struct GemmResult {
     dims: (usize, usize, usize),
     /// Operand storage: `"f32"` or `"bf16"` (accumulation is always f32).
     dtype: &'static str,
-    /// `(threads, gflops)` rows.
-    rows: Vec<(usize, f64)>,
+    /// One measurement per thread count.
+    rows: Vec<Measurement>,
 }
 
 impl GemmResult {
+    fn gflops(&self, secs: f64) -> f64 {
+        2.0 * (self.dims.0 * self.dims.1 * self.dims.2) as f64 / secs / 1e9
+    }
+
     fn json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|(t, gf)| format!("{{\"threads\": {t}, \"gflops\": {gf:.3}}}"))
-            .collect();
+        let (m, n, k) = self.dims;
+        let (dtype, rows) = (self.dtype, rows_json(&self.rows, "gflops", 3, |s| self.gflops(s)));
         format!(
-            "{{\"m\": {}, \"n\": {}, \"k\": {}, \"dtype\": \"{}\", \"rows\": [{}]}}",
-            self.dims.0,
-            self.dims.1,
-            self.dims.2,
-            self.dtype,
-            rows.join(", ")
+            "{{\"m\": {m}, \"n\": {n}, \"k\": {k}, \"dtype\": \"{dtype}\", \"rows\": [{rows}]}}"
         )
     }
+}
+
+/// The body of a JSON object mapping each result's name to its JSON.
+fn gemm_map(results: &[GemmResult]) -> String {
+    let entries: Vec<String> =
+        results.iter().map(|g| format!("    \"{}\": {}", g.name, g.json())).collect();
+    entries.join(",\n")
 }
 
 /// Sweep `kernel` (which must run one full GEMM of `dims` per call) over the
 /// thread counts. Operand construction stays outside the closure so only the
 /// multiply is timed; reps is scaled so tiny hot shapes still get stable
-/// best-of numbers.
+/// best-of numbers. Prints the result's GFLOP/s line.
 fn bench_gemm(
     tracer: &Tracer,
     name: &'static str,
@@ -87,18 +107,19 @@ fn bench_gemm(
     dtype: &'static str,
     kernel: impl Fn(),
 ) -> GemmResult {
-    let (m, n, k) = dims;
-    let flops = 2.0 * m as f64 * n as f64 * k as f64;
+    let flops = 2.0 * (dims.0 * dims.1 * dims.2) as f64;
     let reps = if flops < 1e8 { 20 } else { 5 };
     let mut rows = Vec::new();
     for &t in &thread_counts() {
         rayon::set_thread_override(Some(t));
         let series = tracer.series(&format!("kernels_{name}_{t}t_ms"));
-        let secs = time_best(reps, &series, &kernel);
-        rows.push((t, flops / secs / 1e9));
+        rows.push(measure_into(reps, &series, &kernel));
     }
     rayon::set_thread_override(None);
-    GemmResult { name, dims, dtype, rows }
+    let g = GemmResult { name, dims, dtype, rows };
+    let (m, n, k) = dims;
+    println!("{name:<16} {m}x{n}x{k}  GFLOP/s: {}", cells(&g.rows, |s| g.gflops(s)));
+    g
 }
 
 fn main() {
@@ -132,11 +153,6 @@ fn main() {
             std::hint::black_box(matmul_tn_bf16(&ah, &bh));
         }),
     ];
-    for g in &gemms {
-        let cells: Vec<String> =
-            g.rows.iter().map(|(t, gf)| format!("{t}T {gf:7.2}")).collect();
-        println!("{:<16} {}x{}x{}  GFLOP/s: {}", g.name, g.dims.0, g.dims.1, g.dims.2, cells.join("  "));
-    }
 
     // --- model hot shapes (toy_default geometry: dim 64, 4 heads × head_dim
     //     16, ffn 128, 8×8 windows over a 32×64 grid → 2048 tokens, window
@@ -164,11 +180,6 @@ fn main() {
             std::hint::black_box(matmul(&h_hot, &w_down));
         }),
     ];
-    for g in &hot_shapes {
-        let cells: Vec<String> =
-            g.rows.iter().map(|(t, gf)| format!("{t}T {gf:7.2}")).collect();
-        println!("{:<16} {}x{}x{}  GFLOP/s: {}", g.name, g.dims.0, g.dims.1, g.dims.2, cells.join("  "));
-    }
 
     // --- fused window attention (toy_default geometry: 32×64 grid, 8×8
     //     windows, dim 64, 4 heads) ---
@@ -189,17 +200,20 @@ fn main() {
     for &t in &thread_counts() {
         rayon::set_thread_override(Some(t));
         let series = tracer.series(&format!("kernels_window_attn_{t}t_ms"));
-        let secs = time_best(5, &series, || {
+        attn_rows.push(measure_into(5, &series, || {
             let mut tape = Tape::new();
             let xv = tape.constant(x.clone());
             let wv: Vec<_> = ws.iter().map(|w| tape.constant(w.clone())).collect();
             std::hint::black_box(tape.window_attention(xv, wv[0], wv[1], wv[2], wv[3], &plan));
-        });
-        attn_rows.push((t, attn_flops / secs / 1e9));
+        }));
     }
     rayon::set_thread_override(None);
-    let cells: Vec<String> = attn_rows.iter().map(|(t, gf)| format!("{t}T {gf:7.2}")).collect();
-    println!("{:<12} {n_windows}w×{wlen}×{dim}   GFLOP/s: {}", "window_attn", cells.join("  "));
+    let attn_gflops = |secs: f64| attn_flops / secs / 1e9;
+    println!(
+        "{:<12} {n_windows}w×{wlen}×{dim}   GFLOP/s: {}",
+        "window_attn",
+        cells(&attn_rows, attn_gflops)
+    );
 
     // --- full training step (forward + backward + AdamW), toy_default model ---
     let channels = 8;
@@ -224,19 +238,19 @@ fn main() {
             .collect();
         let batch: Vec<&TrainSample> = samples.iter().collect();
         let series = tracer.series(&format!("kernels_train_step_{t}t_ms"));
-        let secs = time_best(3, &series, || {
+        step_rows.push(measure_into(3, &series, || {
             std::hint::black_box(trainer.train_step(&mut model, &batch));
-        });
-        step_rows.push((t, secs * 1e3));
+        }));
     }
     rayon::set_thread_override(None);
-    let cells: Vec<String> = step_rows.iter().map(|(t, ms)| format!("{t}T {ms:8.1}ms")).collect();
-    println!("{:<12} {step_tokens} tokens, batch 2: {}", "train_step", cells.join("  "));
-    let speedup = step_rows[0].1 / step_rows.last().unwrap().1;
     println!(
-        "train_step speedup at {} threads vs 1: {speedup:.2}x",
-        step_rows.last().unwrap().0
+        "{:<12} {step_tokens} tokens, batch 2 (ms): {}",
+        "train_step",
+        cells(&step_rows, |s| s * 1e3)
     );
+    let widest = step_rows.last().unwrap();
+    let speedup = step_rows[0].min() / widest.min();
+    println!("train_step speedup at {} threads vs 1: {speedup:.2}x", widest.threads);
 
     // --- JSON report ---
     let mut out = String::from("{\n");
@@ -245,36 +259,18 @@ fn main() {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         thread_counts()
     ));
-    out.push_str("  \"gemm_gflops\": {\n");
-    for (i, g) in gemms.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            g.name,
-            g.json(),
-            if i + 1 < gemms.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n  \"hot_shapes\": {\n");
-    for (i, g) in hot_shapes.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            g.name,
-            g.json(),
-            if i + 1 < hot_shapes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    let rows: Vec<String> =
-        attn_rows.iter().map(|(t, gf)| format!("{{\"threads\": {t}, \"gflops\": {gf:.3}}}")).collect();
+    out.push_str(&format!(
+        "  \"gemm_gflops\": {{\n{}\n  }},\n  \"hot_shapes\": {{\n{}\n  }},\n",
+        gemm_map(&gemms),
+        gemm_map(&hot_shapes)
+    ));
     out.push_str(&format!(
         "  \"window_attention\": {{\"n_windows\": {n_windows}, \"window_len\": {wlen}, \"n_heads\": {n_heads}, \"head_dim\": {head_dim}, \"rows\": [{}]}},\n",
-        rows.join(", ")
+        rows_json(&attn_rows, "gflops", 3, attn_gflops)
     ));
-    let rows: Vec<String> =
-        step_rows.iter().map(|(t, ms)| format!("{{\"threads\": {t}, \"ms\": {ms:.2}}}")).collect();
     out.push_str(&format!(
         "  \"training_step\": {{\"config\": \"toy_default({channels})\", \"tokens\": {step_tokens}, \"batch\": 2, \"rows\": [{}], \"speedup_max_vs_1\": {speedup:.3}}}\n",
-        rows.join(", ")
+        rows_json(&step_rows, "ms", 2, |s| s * 1e3)
     ));
     out.push_str("}\n");
     std::fs::write("BENCH_kernels.json", &out).expect("write BENCH_kernels.json");

@@ -16,50 +16,16 @@
 //! cargo run --release -p aeris-bench --bin recovery
 //! ```
 
-use aeris_core::{AerisConfig, AerisModel, TrainSample};
-use aeris_diffusion::loss_weights;
-use aeris_earthsim::Grid;
+use aeris_bench::{measure, toy_model, toy_swipe_data, Measurement};
+use aeris_core::AerisModel;
 use aeris_obs::{SpanCategory, Tracer};
 use aeris_swipe::data::InMemorySource;
 use aeris_swipe::{
     supervise, CheckpointConfig, DistributedTrainer, FaultPlan, RecoveryConfig, SwipeConfig,
     SwipeTopology,
 };
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::Tensor;
 use std::time::Instant;
-
-/// Median seconds per call of `f` over `reps` timed calls (one warmup).
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
-fn toy_model() -> AerisConfig {
-    AerisConfig {
-        grid_h: 8,
-        grid_w: 16,
-        channels: 4,
-        forcing_channels: 3,
-        dim: 16,
-        n_heads: 2,
-        ffn: 32,
-        n_layers: 2,
-        blocks_per_layer: 1,
-        window: (4, 4),
-        time_feat_dim: 16,
-        cond_dim: 24,
-        pos_amp: 0.1,
-        seed: 3,
-    }
-}
 
 struct Workbench {
     reference: AerisModel,
@@ -69,21 +35,10 @@ struct Workbench {
 }
 
 fn workbench() -> Workbench {
-    let cfg = toy_model();
-    let mut rng = Rng::seed_from(9);
-    let samples: Vec<TrainSample> = (0..8)
-        .map(|_| TrainSample {
-            x_prev: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
-            residual: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng).scale(0.3),
-            forcings: Tensor::randn(&[cfg.tokens(), 3], &mut rng),
-        })
-        .collect();
-    let grid = Grid::new(cfg.grid_h, cfg.grid_w);
-    let weights = loss_weights(&grid.token_lat_weights(), &vec![1.0; cfg.channels]);
-    let reference = AerisModel::new(cfg);
+    let (source, weights) = toy_swipe_data();
     Workbench {
-        reference,
-        source: InMemorySource { samples },
+        reference: AerisModel::new(toy_model()),
+        source,
         weights,
         topo: SwipeTopology::new(2, 4, 1, 1, 1),
     }
@@ -93,17 +48,16 @@ fn sched(n_steps: usize, dp: usize) -> Vec<Vec<Vec<usize>>> {
     (0..n_steps).map(|s| (0..dp).map(|d| vec![(2 * s + d) % 8]).collect()).collect()
 }
 
-/// Median ms/step with the given fault plan installed.
-fn bench_train(wb: &Workbench, faults: Option<FaultPlan>, n_steps: usize) -> f64 {
+/// Runs of `n_steps` steps with the given fault plan installed.
+fn bench_train(wb: &Workbench, faults: Option<FaultPlan>, n_steps: usize) -> Measurement {
     let cfg = SwipeConfig { n_steps, faults, ..SwipeConfig::new(wb.topo) };
     let schedule = sched(n_steps, wb.topo.dp);
-    let secs = time_median(15, || {
+    measure(15, || {
         let report =
             DistributedTrainer::train(&wb.reference, &cfg, &wb.source, &schedule, &wb.weights)
                 .expect("bench run");
         std::hint::black_box(&report.losses);
-    });
-    secs * 1e3 / n_steps as f64
+    })
 }
 
 fn main() {
@@ -112,11 +66,16 @@ fn main() {
 
     // 1. fault-hook overhead: no plan vs armed-but-empty plan.
     let n_steps = 4usize;
-    let off = bench_train(&wb, None, n_steps);
-    let on = bench_train(&wb, Some(FaultPlan::new()), n_steps);
-    let hook_pct = (on - off) / off * 100.0;
+    let off_m = bench_train(&wb, None, n_steps);
+    let on_m = bench_train(&wb, Some(FaultPlan::new()), n_steps);
+    let hook_pct = on_m.overhead_pct(&off_m);
+    let ms_per_step = |secs: f64| secs * 1e3 / n_steps as f64;
+    let (off, on) = (ms_per_step(off_m.median()), ms_per_step(on_m.median()));
     println!(
-        "fault hooks: none {off:7.2} ms/step, armed {on:7.2} ms/step ({hook_pct:+.2}%)"
+        "fault hooks: none {off:7.2} ± {:.2} ms/step, armed {on:7.2} ± {:.2} ms/step \
+         ({hook_pct:+.2}%)",
+        ms_per_step(off_m.spread()),
+        ms_per_step(on_m.spread()),
     );
 
     // 2. steps lost per crash: both replicas die at step 3; the supervisor

@@ -14,36 +14,18 @@
 //! (`AERIS_FULL=1` for more requests per configuration).
 
 use aeris_assim::{GuidanceSchedule, ObsOperator, ObservationSet};
-use aeris_bench::{fmt_row, header, toy_model_config, toy_vars};
-use aeris_core::{AerisModel, ConsistencyStudent, Forecaster};
-use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
+use aeris_bench::{fmt_row, header, measure, untrained_forecaster};
+use aeris_core::{ConsistencyStudent, Forecaster};
+use aeris_diffusion::SamplerConfig;
 use aeris_earthsim::{Grid, NormStats};
+use aeris_obs::{Histogram, MetricSeries};
 use aeris_serve::{
     ForecastRequest, Forcings, NowcastRequest, QuotaConfig, ServeConfig, ServeEngine,
     TenantPolicy, Tier,
 };
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::{sweeps, Rng, Tensor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn forecaster() -> Arc<Forecaster> {
-    // Untrained weights: serving cost is architecture + sampler dependent,
-    // not weight dependent, so skip training and measure the machinery.
-    // 6 solver steps with the second-order corrector = 12 network evals per
-    // member-step on the quality tier, vs 1 for the distilled student.
-    let cfg = toy_model_config(&toy_vars());
-    let channels = cfg.channels;
-    let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
-    Arc::new(Forecaster {
-        model: AerisModel::new(cfg),
-        res_stats: stats.clone(),
-        stats,
-        sampler: TrigFlowSampler::new(
-            TrigFlow::default(),
-            SamplerConfig { n_steps: 6, churn: 0.1, second_order: true },
-        ),
-    })
-}
 
 /// The fast tier's one-step model. Teacher-copy weights (zero distillation
 /// steps): throughput depends on the NFE count and architecture, not on how
@@ -306,27 +288,22 @@ fn drive_tiered(
     let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| panic!("clients done"));
     let report = engine.shutdown();
     assert_eq!(denied as u64, report.quota_denied, "client/report quota accounting disagrees");
-    let p = |series: &aeris_obs::MetricSeries, q: f64| series.percentile(q).unwrap_or(f64::NAN);
-    // Per-tier latency under the mix: forecast + nowcast samples pooled.
-    let pooled = |fast: bool, q: f64| {
-        let (a, b) = if fast {
-            (&report.metrics.fast_latency_ms, &report.metrics.fast_nowcast_latency_ms)
+    let p = |series: &MetricSeries, q: f64| series.percentile(q).unwrap_or(f64::NAN);
+    let m = &report.metrics;
+    let tiers = [Tier::Fast, Tier::Quality].map(|t| {
+        // Per-tier latency under the mix: forecast + nowcast samples pooled.
+        let latency = if t == Tier::Fast {
+            pooled(&m.fast_latency_ms, &m.fast_nowcast_latency_ms)
         } else {
-            (&report.metrics.latency_ms, &report.metrics.nowcast_latency_ms)
+            pooled(&m.latency_ms, &m.nowcast_latency_ms)
         };
-        // Percentile over the union via the larger series when one is empty.
-        match (a.count(), b.count()) {
-            (0, _) => p(b, q),
-            (_, 0) => p(a, q),
-            _ => 0.5 * (p(a, q) + p(b, q)),
+        TierRow {
+            req_per_s: capacities[if t == Tier::Fast { 0 } else { 1 }],
+            p50_ms: latency.percentile(50.0).unwrap_or(f64::NAN),
+            p99_ms: latency.percentile(99.0).unwrap_or(f64::NAN),
+            completed: report.tier(t).completed,
+            shed: report.tier(t).shed,
         }
-    };
-    let tiers = [Tier::Fast, Tier::Quality].map(|t| TierRow {
-        req_per_s: capacities[if t == Tier::Fast { 0 } else { 1 }],
-        p50_ms: pooled(t == Tier::Fast, 50.0),
-        p99_ms: pooled(t == Tier::Fast, 99.0),
-        completed: report.tier(t).completed,
-        shed: report.tier(t).shed,
     });
     TieredResult {
         mixed_req_per_s: report.completed as f64 / wall,
@@ -346,6 +323,14 @@ fn drive_tiered(
     }
 }
 
+/// The union of two latency series, as one histogram.
+fn pooled(a: &MetricSeries, b: &MetricSeries) -> Histogram {
+    let h = Histogram::new();
+    h.merge_from(a.histogram());
+    h.merge_from(b.histogram());
+    h
+}
+
 /// The pre-optimization un-standardize inner loop: scalar `at()` indexing
 /// with per-element bounds/offset arithmetic. Kept here as the baseline the
 /// row-slice sweep in `forecast_step` is measured against.
@@ -360,21 +345,23 @@ fn unstandardize_scalar(residual_std: &Tensor, next: &mut Tensor, stats: &NormSt
     }
 }
 
-/// The shipped row-slice version (mirrors the hot loop in `forecast_step`).
+/// The shipped row-slice sweep (the one `forecast_step` runs).
 fn unstandardize_rows(residual_std: &Tensor, next: &mut Tensor, stats: &NormStats) {
-    let rows = residual_std.shape()[0];
-    for r in 0..rows {
-        let row = next.row_mut(r);
-        for (j, (o, &v)) in row.iter_mut().zip(residual_std.row(r)).enumerate() {
-            *o += v * stats.std[j] + stats.mean[j];
-        }
+    for r in 0..residual_std.shape()[0] {
+        sweeps::add_scale_shift(next.row_mut(r), residual_std.row(r), &stats.std, &stats.mean);
     }
 }
 
 fn main() {
     let full = std::env::var("AERIS_FULL").map(|v| v == "1").unwrap_or(false);
     let n_requests = if full { 96 } else { 32 };
-    let fc = forecaster();
+    // 6 solver steps with the second-order corrector = 12 network evals per
+    // member-step on the quality tier, vs 1 for the distilled student.
+    let fc = Arc::new(untrained_forecaster(SamplerConfig {
+        n_steps: 6,
+        churn: 0.1,
+        second_order: true,
+    }));
     let student = student_of(&fc);
     let tokens = fc.model.cfg.tokens();
 
@@ -454,31 +441,30 @@ fn main() {
     }
     println!("mixed load: {:.2} req/s completed", m.mixed_req_per_s);
 
-    header("Un-standardize kernel: scalar at() vs row-slice sweep");
+    header("Un-standardize kernel: scalar at() vs row-slice sweep (µs/sweep ± spread)");
     let channels = fc.model.cfg.channels;
     let stats = NormStats { mean: vec![0.1; channels], std: vec![1.3; channels] };
     let mut rng = Rng::seed_from(7);
     let residual = Tensor::randn(&[tokens, channels], &mut rng);
     let base = Tensor::randn(&[tokens, channels], &mut rng);
-    let iters = if full { 20_000 } else { 4_000 };
+    // Each timed call sweeps `iters` times; rows report µs per sweep.
+    let iters = if full { 4_000 } else { 800 };
     let mut sink = 0.0f32;
     let mut scratch = base.clone();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        scratch.data_mut().copy_from_slice(base.data());
-        unstandardize_scalar(&residual, &mut scratch, &stats);
-        sink += scratch.at(&[0, 0]);
-    }
-    let scalar_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        scratch.data_mut().copy_from_slice(base.data());
-        unstandardize_rows(&residual, &mut scratch, &stats);
-        sink += scratch.at(&[0, 0]);
-    }
-    let rows_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    println!("{}", fmt_row("scalar at()", &[scalar_us], 12, 2));
-    println!("{}", fmt_row("row slices", &[rows_us], 12, 2));
+    let mut kernel_us = |kernel: fn(&Tensor, &mut Tensor, &NormStats)| {
+        let m = measure(5, || {
+            for _ in 0..iters {
+                scratch.data_mut().copy_from_slice(base.data());
+                kernel(&residual, &mut scratch, &stats);
+                sink += scratch.at(&[0, 0]);
+            }
+        });
+        (m.median() * 1e6 / iters as f64, m.spread() * 1e6 / iters as f64)
+    };
+    let (scalar_us, scalar_sd) = kernel_us(unstandardize_scalar);
+    let (rows_us, rows_sd) = kernel_us(unstandardize_rows);
+    println!("{}", fmt_row("scalar at()", &[scalar_us, scalar_sd], 12, 2));
+    println!("{}", fmt_row("row slices", &[rows_us, rows_sd], 12, 2));
     println!("{}", fmt_row("speedup", &[scalar_us / rows_us], 12, 2));
     assert!(sink.is_finite());
 
@@ -521,4 +507,30 @@ fn main() {
     );
     std::fs::write("BENCH_serve.json", &out).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aeris_obs::histogram::MAX_QUANTILE_REL_ERROR;
+
+    #[test]
+    fn pooled_percentile_is_the_percentile_of_the_union() {
+        let (a, b) = (MetricSeries::new(), MetricSeries::new());
+        for _ in 0..99 {
+            a.record(1.0);
+        }
+        a.record(2.0);
+        for _ in 0..10 {
+            b.record(100.0);
+        }
+        let union = pooled(&a, &b);
+        assert_eq!(union.count(), 110);
+        // Rank 109 of the 110 pooled samples is one of b's 100s, while the
+        // average of the two series' p99s is about 50.
+        let close = |v: f64, want: f64| (v - want).abs() <= want * MAX_QUANTILE_REL_ERROR;
+        assert!(close(union.percentile(99.0).unwrap(), 100.0));
+        let p99 = |s: &MetricSeries| s.percentile(99.0).unwrap();
+        assert!(close(0.5 * (p99(&a) + p99(&b)), 50.5));
+    }
 }

@@ -1,6 +1,10 @@
 //! Shared harness for the experiment binaries that regenerate the paper's
 //! tables and figures (see DESIGN.md for the experiment index).
 //!
+//! Every repeated timing in the bench binaries goes through [`measure`],
+//! which returns a [`Measurement`]: the sorted per-call seconds, from which
+//! the binaries read their median (or best-of), spread and overheads.
+//!
 //! Every binary honors `AERIS_FULL=1` for a longer, higher-fidelity run;
 //! the default "quick" settings finish in minutes on a laptop while
 //! preserving the qualitative shapes (who wins, where crossovers fall).
@@ -11,11 +15,71 @@
 #![allow(clippy::needless_range_loop)]
 
 use aeris_core::{
-    prepare_samples, AerisConfig, AerisModel, Forecaster, Trainer, TrainerConfig,
+    prepare_samples, AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig,
 };
 use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
-use aeris_earthsim::{Dataset, Scenario, ToyParams, VariableSet};
+use aeris_earthsim::{Dataset, NormStats, Scenario, ToyParams, VariableSet};
 use aeris_nn::LrSchedule;
+use aeris_swipe::data::InMemorySource;
+use aeris_tensor::{Rng, Tensor};
+use std::time::Instant;
+
+/// The per-call wall times of one repeated timing.
+#[derive(Debug)]
+pub struct Measurement {
+    /// Seconds per timed call, ascending (only [`measure`] builds one).
+    secs: Vec<f64>,
+    /// Rayon worker threads in effect while timing.
+    pub threads: usize,
+}
+
+/// Time `reps` calls of `f` after one untimed warmup call.
+pub fn measure(reps: usize, mut f: impl FnMut()) -> Measurement {
+    assert!(reps > 0, "measure needs at least one timed call");
+    f();
+    let mut secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    Measurement { secs, threads: rayon::current_num_threads() }
+}
+
+impl Measurement {
+    /// Seconds per timed call, ascending.
+    pub fn secs(&self) -> &[f64] {
+        &self.secs
+    }
+
+    /// The `k`-th quartile (`k` in 0..=3) by index into the sorted times.
+    fn quartile(&self, k: usize) -> f64 {
+        self.secs[self.secs.len() * k / 4]
+    }
+
+    /// Median seconds per call (the upper median for an even count).
+    pub fn median(&self) -> f64 {
+        self.quartile(2)
+    }
+
+    /// Fastest call, in seconds.
+    pub fn min(&self) -> f64 {
+        self.secs[0]
+    }
+
+    /// Interquartile range q3 − q1, in seconds.
+    pub fn spread(&self) -> f64 {
+        self.quartile(3) - self.quartile(1)
+    }
+
+    /// How much slower this is than `baseline`, in percent of the baseline's
+    /// median time: positive means slower.
+    pub fn overhead_pct(&self, baseline: &Measurement) -> f64 {
+        (self.median() / baseline.median() - 1.0) * 100.0
+    }
+}
 
 /// Scale knobs for an experiment run.
 #[derive(Clone, Copy, Debug)]
@@ -70,6 +134,42 @@ pub fn toy_model_config(vars: &VariableSet) -> AerisConfig {
         cond_dim: 48,
         pos_amp: 0.1,
         seed: 0,
+    }
+}
+
+/// The small SWiPe/trainer model the recovery and tracing benches share.
+pub fn toy_model() -> AerisConfig {
+    AerisConfig { seed: 3, ..AerisConfig::test_tiny() }
+}
+
+/// Eight seeded random training samples for [`toy_model`] and the loss
+/// weights of its grid (uniform channel weights).
+pub fn toy_swipe_data() -> (InMemorySource, Tensor) {
+    let cfg = toy_model();
+    let mut rng = Rng::seed_from(9);
+    let samples: Vec<TrainSample> = (0..8)
+        .map(|_| TrainSample {
+            x_prev: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
+            residual: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng).scale(0.3),
+            forcings: Tensor::randn(&[cfg.tokens(), 3], &mut rng),
+        })
+        .collect();
+    let lat = aeris_earthsim::Grid::new(cfg.grid_h, cfg.grid_w).token_lat_weights();
+    (InMemorySource { samples }, aeris_diffusion::loss_weights(&lat, &vec![1.0; cfg.channels]))
+}
+
+/// An untrained forecaster over [`toy_model_config`] with unit statistics.
+/// Serving and guidance cost depend on the architecture and the sampler,
+/// not on the weights, so the bench bins skip training.
+pub fn untrained_forecaster(sampler: SamplerConfig) -> Forecaster {
+    let cfg = toy_model_config(&toy_vars());
+    let channels = cfg.channels;
+    let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
+    Forecaster {
+        model: AerisModel::new(cfg),
+        res_stats: stats.clone(),
+        stats,
+        sampler: TrigFlowSampler::new(TrigFlow::default(), sampler),
     }
 }
 
@@ -216,4 +316,40 @@ pub fn train_gencast(ds: &Dataset, scale: &RunScale, seed: u64) -> aeris_baselin
     let epochs = (scale.train_images as usize / samples.len()).max(1);
     g.fit(&samples, &weights, 2, epochs, 2e-3, seed);
     g
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample(secs: &[f64]) -> Measurement {
+        Measurement { secs: secs.to_vec(), threads: 1 }
+    }
+
+    #[test]
+    fn measurement_statistics_on_a_fixed_sample() {
+        let m = sample(&[1.0, 2.0, 3.0, 4.0, 10.0]);
+        assert_eq!(m.median(), 3.0);
+        assert_eq!(m.min(), 1.0);
+        // q1 = secs[1], q3 = secs[3].
+        assert_eq!(m.spread(), 2.0);
+    }
+
+    #[test]
+    fn overhead_is_positive_when_slower() {
+        let base = sample(&[1.0, 2.0, 3.0]);
+        assert!((sample(&[2.0, 3.0, 4.0]).overhead_pct(&base) - 50.0).abs() < 1e-12);
+        assert!((sample(&[1.0, 1.5, 2.0]).overhead_pct(&base) + 25.0).abs() < 1e-12);
+        assert_eq!(base.overhead_pct(&base), 0.0);
+    }
+
+    #[test]
+    fn measure_warms_up_once_then_times_each_rep() {
+        let mut calls = 0;
+        let m = measure(4, || calls += 1);
+        assert_eq!(calls, 5);
+        assert_eq!(m.secs().len(), 4);
+        assert!(m.secs().windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(m.threads, rayon::current_num_threads());
+    }
 }

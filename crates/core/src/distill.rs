@@ -11,7 +11,7 @@
 //! trajectories. After distillation a forecast step costs **one** network
 //! evaluation instead of `2·n_steps` (the DPMSolver++ 2S budget).
 
-use crate::forecast::{Forecaster, StepJob};
+use crate::forecast::{add_residual, Forecaster, StepJob};
 use crate::model::AerisModel;
 use crate::training::TrainSample;
 use aeris_autodiff::Tape;
@@ -140,15 +140,7 @@ impl ConsistencyStudent {
         let noise = Tensor::randn(prev_std.shape(), rng).scale(self.tf.sigma_d);
         let v = self.model.velocity(&noise, &prev_std, forcings, t);
         let residual_std = self.tf.denoise(&noise, &v, t);
-        let mut next = x_prev.clone();
-        let (rows, cols) = (next.shape()[0], next.shape()[1]);
-        for r in 0..rows {
-            let row = next.row_mut(r);
-            for j in 0..cols {
-                row[j] += residual_std.at(&[r, j]) * self.res_stats.std[j] + self.res_stats.mean[j];
-            }
-        }
-        next
+        add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
     /// Batched one-step forecast: advance several independent states by one

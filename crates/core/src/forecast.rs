@@ -11,6 +11,17 @@ use aeris_earthsim::NormStats;
 use aeris_tensor::{sweeps, Rng, Tensor};
 use rayon::prelude::*;
 
+/// `x_prev` plus the un-standardized residual: one unrolled unit-stride
+/// sweep per row (no per-element multi-index lookups). Both the sampler step
+/// and the distilled one-step student finish through here.
+pub(crate) fn add_residual(x_prev: &Tensor, residual_std: &Tensor, stats: &NormStats) -> Tensor {
+    let mut next = x_prev.clone();
+    for r in 0..next.shape()[0] {
+        sweeps::add_scale_shift(next.row_mut(r), residual_std.row(r), &stats.std, &stats.mean);
+    }
+    next
+}
+
 /// A trained model packaged for inference.
 pub struct Forecaster {
     /// The (EMA) model.
@@ -199,14 +210,7 @@ impl Forecaster {
         let mut velocity =
             |x_t: &Tensor, t: f32| self.model.velocity(x_t, &prev_std, forcings, t);
         let residual_std = self.sampler.sample_guided(&shape, &mut velocity, rng, guidance);
-        // Un-standardize the residual and add to the state, one unrolled
-        // unit-stride sweep per row (no per-element multi-index lookups).
-        let mut next = x_prev.clone();
-        let (std, mean) = (&self.res_stats.std, &self.res_stats.mean);
-        for r in 0..shape[0] {
-            sweeps::add_scale_shift(next.row_mut(r), residual_std.row(r), std, mean);
-        }
-        next
+        add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
     /// Batched forecast step: advance several independent states by one step
