@@ -4,14 +4,14 @@
 //! residual consistent with both the background (through conditioning) and
 //! the observations (through [`ObsGuidance`]), yielding an analysis state.
 //! Member seeds follow the exact `Forecaster::ensemble` discipline
-//! (`Rng::seed_from(seed).stream(m + 1)`), which is what lets the serving
-//! engine reproduce a direct call bit for bit.
+//! ([`member_rng`]), which is what lets the serving engine reproduce a direct
+//! call bit for bit.
 
 use crate::guidance::{GuidanceSchedule, ObsGuidance};
 use crate::operator::ObservationSet;
+use aeris_core::forecast::{ensemble, member_rng};
 use aeris_core::{ConsistencyStudent, Forecaster};
-use aeris_tensor::{Rng, Tensor};
-use rayon::prelude::*;
+use aeris_tensor::Tensor;
 use std::sync::Arc;
 
 /// An ensemble of analysis states, one per member, in physical units.
@@ -23,20 +23,10 @@ impl NowcastEnsemble {
     pub fn n_members(&self) -> usize {
         self.members.len()
     }
-
-    /// Ensemble-mean analysis, or `None` for an empty ensemble.
-    pub fn mean(&self) -> Option<Tensor> {
-        let first = self.members.first()?;
-        let mut acc = Tensor::zeros(first.shape());
-        for m in &self.members {
-            acc.add_assign(m);
-        }
-        Some(acc.scale(1.0 / self.members.len() as f32))
-    }
 }
 
 /// One analysis member: a guided forecast step from `background` toward
-/// `obs`, using member seed stream `seed ⊕ (member + 1)`.
+/// `obs`, drawing from [`member_rng`]`(seed, member)`.
 pub fn nowcast_member(
     fc: &Forecaster,
     background: &Arc<Tensor>,
@@ -46,7 +36,7 @@ pub fn nowcast_member(
     seed: u64,
     member: usize,
 ) -> Tensor {
-    let mut rng = Rng::seed_from(seed).stream(member as u64 + 1);
+    let mut rng = member_rng(seed, member);
     let mut guidance = ObsGuidance::new(
         Arc::clone(obs),
         Arc::clone(background),
@@ -97,8 +87,7 @@ pub fn nowcast_member_fast(
     seed: u64,
     member: usize,
 ) -> Tensor {
-    let mut rng = Rng::seed_from(seed).stream(member as u64 + 1);
-    let mut x = student.forecast_step(background, forcings, &mut rng);
+    let mut x = student.forecast_step(background, forcings, &mut member_rng(seed, member));
     relax_toward_observations(&mut x, obs, schedule.weight(0, 1));
     x
 }
@@ -114,10 +103,9 @@ pub fn nowcast_ensemble(
     n_members: usize,
     seed: u64,
 ) -> NowcastEnsemble {
-    let members: Vec<Tensor> = (0..n_members)
-        .into_par_iter()
-        .map(|m| nowcast_member(fc, background, forcings, obs, schedule, seed, m))
-        .collect();
+    let members = ensemble(n_members, seed, |m, _| {
+        nowcast_member(fc, background, forcings, obs, schedule, seed, m)
+    });
     NowcastEnsemble { members }
 }
 
@@ -128,6 +116,7 @@ mod tests {
     use aeris_core::{AerisConfig, AerisModel};
     use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
     use aeris_earthsim::{Grid, NormStats};
+    use aeris_tensor::Rng;
 
     fn tiny_forecaster(second_order: bool) -> Forecaster {
         let cfg = AerisConfig::test_tiny();
@@ -251,7 +240,5 @@ mod tests {
         // Ensemble call reproduces the member call exactly.
         let direct = nowcast_member(&fc, &background, &forc, &obs, sched, 77, 2);
         assert_eq!(ens.members[2], direct);
-        assert_eq!(ens.mean().unwrap().shape(), &[128, 4]);
-        assert!(NowcastEnsemble { members: vec![] }.mean().is_none());
     }
 }

@@ -3,11 +3,12 @@
 //! weighted MSE. Section IV-A of the paper: such models deliver competitive
 //! medium-range skill but blur at long leads and have no ensemble spread.
 
-use aeris_autodiff::Tape;
+use aeris_core::forecast::{add_residual, rollout};
+use aeris_core::training::batch_mean;
 use aeris_core::{AerisModel, TrainSample};
 use aeris_earthsim::NormStats;
-use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, Binding};
-use aeris_tensor::{Rng, Tensor};
+use aeris_nn::{AdamW, AdamWConfig};
+use aeris_tensor::Tensor;
 
 /// A deterministic residual-regression forecaster on the AERIS backbone.
 /// The diffusion-conditioning slot (`x_t`) is fed zeros at `t = 0`.
@@ -33,26 +34,16 @@ impl DeterministicForecaster {
         weights: &Tensor,
         lr: f32,
     ) -> f64 {
-        let mut acc: Vec<Option<Tensor>> = vec![None; self.model.store.len()];
-        let mut total = 0.0f64;
         let zeros = Tensor::zeros(&[self.model.cfg.tokens(), self.model.cfg.channels]);
-        for s in batch {
-            let input = self.model.assemble_input(&zeros, &s.x_prev, &s.forcings);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&self.model.store);
-            let iv = tape.constant(input);
-            let out = self.model.forward(&mut tape, &mut binding, iv, 0.0);
-            let loss = tape.weighted_mse(out, &s.residual, weights);
-            total += tape.value(loss).data()[0] as f64;
-            let mut grads = tape.backward(loss);
-            accumulate_grads(&mut acc, binding.collect_grads(&mut grads));
-        }
-        let inv = 1.0 / batch.len() as f32;
-        for g in acc.iter_mut().flatten() {
-            g.scale_inplace(inv);
-        }
-        opt.step(&mut self.model.store, &acc, lr);
-        total / batch.len() as f64
+        let model = &self.model;
+        let (loss, grads) = batch_mean(
+            model.store.len(),
+            batch.iter().map(|s| {
+                model.loss_and_grads(&zeros, &s.x_prev, &s.forcings, 0.0, &s.residual, weights)
+            }),
+        );
+        opt.step(&mut self.model.store, &grads, lr);
+        loss
     }
 
     /// Train for `epochs` shuffled passes.
@@ -65,18 +56,10 @@ impl DeterministicForecaster {
         lr: f32,
         seed: u64,
     ) -> Vec<f64> {
-        let mut opt = AdamW::new(&self.model.store, AdamWConfig::default());
-        let mut rng = Rng::seed_from(seed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut losses = Vec::new();
-        for _ in 0..epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch.max(1)) {
-                let b: Vec<&TrainSample> = chunk.iter().map(|&i| &samples[i]).collect();
-                losses.push(self.train_step(&mut opt, &b, weights, lr));
-            }
-        }
-        losses
+        let opt = AdamW::new(&self.model.store, AdamWConfig::default());
+        crate::fit(opt, samples, batch, epochs, seed, |opt, b, _| {
+            self.train_step(opt, b, weights, lr)
+        })
     }
 
     /// One deterministic forecast step in physical units.
@@ -84,25 +67,12 @@ impl DeterministicForecaster {
         let prev_std = self.stats.standardize(x_prev);
         let zeros = Tensor::zeros(prev_std.shape());
         let pred = self.model.velocity(&zeros, &prev_std, forcings, 0.0);
-        let mut next = x_prev.clone();
-        for r in 0..pred.shape()[0] {
-            let row = next.row_mut(r);
-            for j in 0..pred.shape()[1] {
-                row[j] += pred.at(&[r, j]) * self.res_stats.std[j] + self.res_stats.mean[j];
-            }
-        }
-        next
+        add_residual(x_prev, &pred, &self.res_stats)
     }
 
     /// Deterministic autoregressive rollout.
     pub fn rollout(&self, x0: &Tensor, forcings: &dyn Fn(usize) -> Tensor, steps: usize) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k));
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f))
     }
 }
 
@@ -112,6 +82,7 @@ mod tests {
     use aeris_core::AerisConfig;
     use aeris_diffusion::loss_weights;
     use aeris_earthsim::Grid;
+    use aeris_tensor::Rng;
 
     fn setup() -> (DeterministicForecaster, Vec<TrainSample>, Tensor) {
         let cfg = AerisConfig::test_tiny();

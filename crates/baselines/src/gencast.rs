@@ -3,13 +3,13 @@
 //! with the stochastic Heun solver — the diffusion recipe GenCast uses,
 //! contrasted against AERIS's TrigFlow in the ablation benches.
 
-use aeris_autodiff::Tape;
+use aeris_core::forecast::{add_residual, ensemble, rollout};
+use aeris_core::training::batch_mean;
 use aeris_core::{AerisModel, TrainSample};
 use aeris_diffusion::{EdmConfig, EdmSampler};
 use aeris_earthsim::NormStats;
-use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, Binding};
+use aeris_nn::{AdamW, AdamWConfig};
 use aeris_tensor::{Rng, Tensor};
-use rayon::prelude::*;
 
 /// EDM-parameterized diffusion forecaster on the AERIS backbone.
 pub struct GenCastAnalog {
@@ -60,9 +60,7 @@ impl GenCastAnalog {
         lr: f32,
         rng: &mut Rng,
     ) -> f64 {
-        let mut acc: Vec<Option<Tensor>> = vec![None; self.model.store.len()];
-        let mut total = 0.0f64;
-        for s in batch {
+        let per_sample = batch.iter().map(|s| {
             let sigma = self.edm.sample_sigma(rng);
             let z = Tensor::randn(s.residual.shape(), rng);
             let x_sigma = self.edm.add_noise(&s.residual, &z, sigma);
@@ -71,22 +69,12 @@ impl GenCastAnalog {
             let target = s.residual.zip_map(&x_sigma, |x0, xs| (x0 - c_skip * xs) / c_out);
             let lw = self.edm.loss_weight(sigma) * c_out * c_out;
             let w = weights.scale(lw);
-            let input = self.model.assemble_input(&x_sigma.scale(c_in), &s.x_prev, &s.forcings);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&self.model.store);
-            let iv = tape.constant(input);
-            let out = self.model.forward(&mut tape, &mut binding, iv, self.t_of_sigma(sigma));
-            let loss = tape.weighted_mse(out, &target, &w);
-            total += tape.value(loss).data()[0] as f64;
-            let mut grads = tape.backward(loss);
-            accumulate_grads(&mut acc, binding.collect_grads(&mut grads));
-        }
-        let inv = 1.0 / batch.len() as f32;
-        for g in acc.iter_mut().flatten() {
-            g.scale_inplace(inv);
-        }
-        opt.step(&mut self.model.store, &acc, lr);
-        total / batch.len() as f64
+            let t = self.t_of_sigma(sigma);
+            self.model.loss_and_grads(&x_sigma.scale(c_in), &s.x_prev, &s.forcings, t, &target, &w)
+        });
+        let (loss, grads) = batch_mean(self.model.store.len(), per_sample);
+        opt.step(&mut self.model.store, &grads, lr);
+        loss
     }
 
     /// Train for shuffled epochs.
@@ -99,18 +87,10 @@ impl GenCastAnalog {
         lr: f32,
         seed: u64,
     ) -> Vec<f64> {
-        let mut opt = AdamW::new(&self.model.store, AdamWConfig::default());
-        let mut rng = Rng::seed_from(seed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut losses = Vec::new();
-        for _ in 0..epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch.max(1)) {
-                let b: Vec<&TrainSample> = chunk.iter().map(|&i| &samples[i]).collect();
-                losses.push(self.train_step(&mut opt, &b, weights, lr, &mut rng));
-            }
-        }
-        losses
+        let opt = AdamW::new(&self.model.store, AdamWConfig::default());
+        crate::fit(opt, samples, batch, epochs, seed, |opt, b, rng| {
+            self.train_step(opt, b, weights, lr, rng)
+        })
     }
 
     /// One stochastic forecast step (sample a residual with the Heun EDM
@@ -122,14 +102,7 @@ impl GenCastAnalog {
         let mut denoise =
             |x: &Tensor, sigma: f32| self.denoise(x, &prev_std, forcings, sigma);
         let residual_std = sampler.sample(&shape, &mut denoise, rng);
-        let mut next = x_prev.clone();
-        for r in 0..shape[0] {
-            let row = next.row_mut(r);
-            for j in 0..shape[1] {
-                row[j] += residual_std.at(&[r, j]) * self.res_stats.std[j] + self.res_stats.mean[j];
-            }
-        }
-        next
+        add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
     /// Autoregressive rollout.
@@ -140,13 +113,7 @@ impl GenCastAnalog {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k), rng);
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
     /// Ensemble of rollouts (rayon-parallel over members).
@@ -158,13 +125,7 @@ impl GenCastAnalog {
         n_members: usize,
         base_seed: u64,
     ) -> Vec<Vec<Tensor>> {
-        (0..n_members)
-            .into_par_iter()
-            .map(|m| {
-                let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
-                self.rollout(x0, &forcings, steps, &mut rng)
-            })
-            .collect()
+        ensemble(n_members, base_seed, |_, mut rng| self.rollout(x0, forcings, steps, &mut rng))
     }
 }
 

@@ -7,13 +7,14 @@
 //! is perfect by construction, and only initial-condition and stochastic
 //! uncertainty limit its skill.
 
+use aeris_core::forecast::ensemble;
 use aeris_earthsim::{ToyAtmosphere, VariableSet};
-use aeris_tensor::{Rng, Tensor};
-use rayon::prelude::*;
+use aeris_tensor::Tensor;
 
 /// Run an `n_members` numerical ensemble from the given simulator state for
 /// `steps` outputs. Member `m` perturbs the initial condition with amplitude
-/// `pert_amp` and reseeds its stochastic forcing from `base_seed ⊕ m`.
+/// `pert_amp` from [`aeris_core::forecast::member_rng`]`(base_seed, m)` and
+/// reseeds its stochastic forcing from `base_seed ⊕ m`.
 /// Returns `[member][step]` rendered states.
 pub fn numerical_ensemble(
     init: &ToyAtmosphere,
@@ -23,21 +24,17 @@ pub fn numerical_ensemble(
     pert_amp: f32,
     base_seed: u64,
 ) -> Vec<Vec<Tensor>> {
-    (0..n_members)
-        .into_par_iter()
-        .map(|m| {
-            let mut sim = init.clone();
-            let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
-            sim.perturb(pert_amp, &mut rng);
-            sim.reseed_stochastic(base_seed ^ (m as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                sim.step();
-                out.push(sim.render(vars));
-            }
-            out
-        })
-        .collect()
+    ensemble(n_members, base_seed, |m, mut rng| {
+        let mut sim = init.clone();
+        sim.perturb(pert_amp, &mut rng);
+        sim.reseed_stochastic(base_seed ^ (m as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let mut out = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            sim.step();
+            out.push(sim.render(vars));
+        }
+        out
+    })
 }
 
 #[cfg(test)]

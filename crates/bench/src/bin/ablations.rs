@@ -10,6 +10,7 @@
 //! are timed with [`aeris_bench::measure`] (median ± interquartile spread).
 
 use aeris_bench::*;
+use aeris_core::forecast::rollout;
 use aeris_core::{prepare_samples, AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig};
 use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::NormStats;
@@ -161,18 +162,12 @@ fn full_field_rollout(
     steps: usize,
     rng: &mut Rng,
 ) -> Vec<Tensor> {
-    let mut states = Vec::with_capacity(steps);
-    let mut x = x0.clone();
-    for k in 0..steps {
-        let prev_std = stats.standardize(&x);
+    rollout(x0, forc, steps, |x, fo| {
+        let prev_std = stats.standardize(x);
         let shape = prev_std.shape().to_vec();
-        let fo = forc(k);
-        let mut velocity = |x_t: &Tensor, t: f32| f.model.velocity(x_t, &prev_std, &fo, t);
-        let next_std = f.sampler.sample(&shape, &mut velocity, rng);
-        x = stats.unstandardize(&next_std);
-        states.push(x.clone());
-    }
-    states
+        let mut velocity = |x_t: &Tensor, t: f32| f.model.velocity(x_t, &prev_std, fo, t);
+        stats.unstandardize(&f.sampler.sample(&shape, &mut velocity, rng))
+    })
 }
 
 fn trainer_cfg(scale: &RunScale) -> TrainerConfig {

@@ -11,15 +11,19 @@
 //! trajectories. After distillation a forecast step costs **one** network
 //! evaluation instead of `2·n_steps` (the DPMSolver++ 2S budget).
 
-use crate::forecast::{add_residual, Forecaster, StepJob};
+use crate::config::AerisConfig;
+use crate::forecast::{
+    add_residual, ensemble, load_checkpoint, rollout, save_checkpoint, Forecaster, StepJob,
+};
 use crate::model::AerisModel;
 use crate::training::TrainSample;
-use aeris_autodiff::Tape;
-use aeris_diffusion::TrigFlow;
+use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::NormStats;
-use aeris_nn::{AdamW, AdamWConfig, Binding, Ema};
+use aeris_nn::{AdamW, AdamWConfig, Ema};
 use aeris_tensor::{Rng, Tensor};
 use rayon::prelude::*;
+use std::io;
+use std::path::Path;
 
 /// Configuration for consistency distillation.
 #[derive(Clone, Copy, Debug)]
@@ -59,26 +63,16 @@ impl ConsistencyStudent {
         assert!(!samples.is_empty());
         let tf = teacher.sampler.tf;
         // Student starts as a copy of the teacher.
-        let mut student = AerisModel::new(teacher.model.cfg.clone());
-        student.store.restore(&teacher.model.store.snapshot());
+        let mut student = teacher.model.replicate();
         // EMA of the student provides the distillation target (stop-grad).
         let mut target_ema = Ema::new(&student.store, cfg.target_halflife);
         let mut opt = AdamW::new(&student.store, AdamWConfig { weight_decay: 0.0, ..Default::default() });
         let mut rng = Rng::seed_from(cfg.seed);
 
-        // Log-uniform time grid matching the training prior, descending.
-        let grid: Vec<f32> = {
-            let lmin = tf.sigma_min.ln();
-            let lmax = tf.sigma_max.ln();
-            let mut ts: Vec<f32> = (0..cfg.n_times)
-                .map(|i| {
-                    let frac = i as f32 / (cfg.n_times - 1) as f32;
-                    tf.t_of_sigma((lmax + frac * (lmin - lmax)).exp())
-                })
-                .collect();
-            ts.push(0.0);
-            ts
-        };
+        // Log-uniform time grid matching the training prior, descending: the
+        // teacher's sampler schedule at `n_times` points.
+        let times = SamplerConfig { n_steps: cfg.n_times, ..teacher.sampler.cfg };
+        let grid = TrigFlowSampler::new(tf, times).schedule();
 
         let mut target_model = AerisModel::new(teacher.model.cfg.clone());
         for _step in 0..cfg.steps {
@@ -110,17 +104,11 @@ impl ConsistencyStudent {
             // (cos(t)·x_hi − f_target)/sin(t).
             let (c, s) = (t_hi.cos(), t_hi.sin());
             let v_target = x_hi.zip_map(&f_target, |x, f| (c * x - f) / s);
-            let input = student.assemble_input(&x_hi, &sample.x_prev, &sample.forcings);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&student.store);
-            let iv = tape.constant(input);
-            let out = student.forward(&mut tape, &mut binding, iv, t_hi);
             // The sin² factor converts velocity-space error back to
             // consistency (denoised-space) error.
             let w = weights.scale(s * s);
-            let loss = tape.weighted_mse(out, &v_target, &w);
-            let mut grads = tape.backward(loss);
-            let g = binding.collect_grads(&mut grads);
+            let (x_prev, forcings) = (&sample.x_prev, &sample.forcings);
+            let (_, g) = student.loss_and_grads(&x_hi, x_prev, forcings, t_hi, &v_target, &w);
             opt.step(&mut student.store, &g, cfg.lr);
             target_ema.update(&student.store, 1.0);
         }
@@ -158,58 +146,29 @@ impl ConsistencyStudent {
     /// A bitwise-identical copy with its own parameter storage (see
     /// [`Forecaster::replicate`]).
     pub fn replicate(&self) -> ConsistencyStudent {
-        let mut model = AerisModel::new(self.model.cfg.clone());
-        model.store.restore(&self.model.store.snapshot());
         ConsistencyStudent {
-            model,
+            model: self.model.replicate(),
             stats: self.stats.clone(),
             res_stats: self.res_stats.clone(),
             tf: self.tf,
         }
     }
 
-    /// Save the student checkpoint: `<path>` gets the weights, `<path>.stats`
-    /// the two normalization blocks (same layout as [`Forecaster::save`], so
-    /// the formats stay mutually inspectable).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        aeris_nn::save_params(&self.model.store, path)?;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(
-            path.with_extension("stats"),
-        )?);
-        use std::io::Write;
-        for stats in [&self.stats, &self.res_stats] {
-            f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
-            for &v in stats.mean.iter().chain(&stats.std) {
-                f.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+    /// Save the student checkpoint in [`Forecaster::save`]'s layout: `<path>`
+    /// gets the weights, `<path>.stats` the two normalization blocks.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
     }
 
     /// Load a student checkpoint saved by [`ConsistencyStudent::save`] into
     /// a student built from the same config. This is how a serving engine
     /// picks up a distilled fast path produced by a training run.
-    pub fn load(
-        cfg: crate::config::AerisConfig,
-        tf: TrigFlow,
-        path: &std::path::Path,
-    ) -> std::io::Result<ConsistencyStudent> {
-        let mut model = AerisModel::new(cfg);
-        aeris_nn::load_params(&mut model.store, path)?;
-        let bytes = std::fs::read(path.with_extension("stats"))?;
-        let mut off = 0usize;
-        let stats = crate::forecast::read_stats(&bytes, &mut off)?;
-        let res_stats = crate::forecast::read_stats(&bytes, &mut off)?;
-        if off != bytes.len() {
-            return Err(crate::forecast::stats_corrupt(format!(
-                "{} trailing bytes after statistics",
-                bytes.len() - off
-            )));
-        }
+    pub fn load(cfg: AerisConfig, tf: TrigFlow, path: &Path) -> io::Result<ConsistencyStudent> {
+        let (model, stats, res_stats) = load_checkpoint(cfg, path)?;
         Ok(ConsistencyStudent { model, stats, res_stats, tf })
     }
 
-    /// Single-step autoregressive rollout.
+    /// Single-step autoregressive rollout (see [`rollout`]).
     pub fn rollout(
         &self,
         x0: &Tensor,
@@ -217,16 +176,10 @@ impl ConsistencyStudent {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k), rng);
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
-    /// Ensemble of one-step rollouts.
+    /// Ensemble of one-step rollouts, seeded like [`Forecaster::ensemble`].
     pub fn ensemble(
         &self,
         x0: &Tensor,
@@ -235,22 +188,13 @@ impl ConsistencyStudent {
         n_members: usize,
         base_seed: u64,
     ) -> Vec<Vec<Tensor>> {
-        (0..n_members)
-            .into_par_iter()
-            .map(|m| {
-                let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
-                self.rollout(x0, &forcings, steps, &mut rng)
-            })
-            .collect()
+        ensemble(n_members, base_seed, |_, mut rng| self.rollout(x0, forcings, steps, &mut rng))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AerisConfig;
-    use crate::forecast::Forecaster;
-    use aeris_diffusion::{SamplerConfig, TrigFlowSampler};
 
     fn make_teacher_and_samples() -> (Forecaster, Vec<TrainSample>, Tensor) {
         let cfg = AerisConfig::test_tiny();

@@ -4,22 +4,144 @@
 //! draw a residual, adds it to the previous state, and feeds the result back
 //! autoregressively. New ensemble members resample the initial noise (and
 //! churn noise) with different seeds.
+//!
+//! The skeleton every forecaster on the backbone shares lives here too: the
+//! member-seed rule ([`member_rng`]), the autoregressive loop ([`rollout`]),
+//! the parallel member loop ([`ensemble`]), the un-standardizing step finish
+//! ([`add_residual`]) and the weights + `.stats` checkpoint pair.
 
+use crate::config::AerisConfig;
 use crate::model::AerisModel;
 use aeris_diffusion::{Guidance, NoGuidance, TrigFlowSampler};
 use aeris_earthsim::NormStats;
 use aeris_tensor::{sweeps, Rng, Tensor};
 use rayon::prelude::*;
+use std::io::{self, Write};
+use std::path::Path;
+
+/// Member `m`'s noise stream under ensemble seed `seed`. Every ensemble,
+/// nowcast and served request derives its members this way, which is what
+/// lets a served forecast reproduce a direct call bit for bit.
+pub fn member_rng(seed: u64, m: usize) -> Rng {
+    Rng::seed_from(seed).stream(m as u64 + 1)
+}
+
+/// Autoregressive rollout: `steps` applications of `step(x, forcings(k))`
+/// from `x0`, keeping every state. `forcings(k)` is valid at the *input* of
+/// step `k` (solar radiation moves with the clock; orography and land-sea
+/// mask are static).
+pub fn rollout(
+    x0: &Tensor,
+    forcings: &dyn Fn(usize) -> Tensor,
+    steps: usize,
+    mut step: impl FnMut(&Tensor, &Tensor) -> Tensor,
+) -> Vec<Tensor> {
+    let mut states = Vec::with_capacity(steps);
+    let mut x = x0.clone();
+    for k in 0..steps {
+        x = step(&x, &forcings(k));
+        states.push(x.clone());
+    }
+    states
+}
+
+/// `member(m, member_rng(seed, m))` for every member, in parallel. Each
+/// member owns its stream, so the thread count never changes the numbers.
+pub fn ensemble<T: Send>(
+    n_members: usize,
+    seed: u64,
+    member: impl Fn(usize, Rng) -> T + Sync,
+) -> Vec<T> {
+    (0..n_members).into_par_iter().map(|m| member(m, member_rng(seed, m))).collect()
+}
 
 /// `x_prev` plus the un-standardized residual: one unrolled unit-stride
-/// sweep per row (no per-element multi-index lookups). Both the sampler step
-/// and the distilled one-step student finish through here.
-pub(crate) fn add_residual(x_prev: &Tensor, residual_std: &Tensor, stats: &NormStats) -> Tensor {
+/// sweep per row (no per-element multi-index lookups). Every forecaster's
+/// step finishes through here.
+pub fn add_residual(x_prev: &Tensor, residual_std: &Tensor, stats: &NormStats) -> Tensor {
     let mut next = x_prev.clone();
     for r in 0..next.shape()[0] {
         sweeps::add_scale_shift(next.row_mut(r), residual_std.row(r), &stats.std, &stats.mean);
     }
     next
+}
+
+/// One sampled forecast step of `model`: draw a standardized residual with
+/// `sampler` conditioned on the standardized `x_prev`, then add it back in
+/// physical units. [`Forecaster::forecast_step_guided`] and rollout
+/// fine-tuning both step through here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sampled_step(
+    model: &AerisModel,
+    stats: &NormStats,
+    res_stats: &NormStats,
+    sampler: &TrigFlowSampler,
+    x_prev: &Tensor,
+    forcings: &Tensor,
+    rng: &mut Rng,
+    guidance: &mut dyn Guidance,
+) -> Tensor {
+    let prev_std = stats.standardize(x_prev);
+    let shape = prev_std.shape().to_vec();
+    let mut velocity = |x_t: &Tensor, t: f32| model.velocity(x_t, &prev_std, forcings, t);
+    let residual_std = sampler.sample_guided(&shape, &mut velocity, rng, guidance);
+    add_residual(x_prev, &residual_std, res_stats)
+}
+
+/// Save a checkpoint: `<path>` gets the weights, `<path>.stats` the field
+/// and residual statistics, each block a `u32` channel count followed by the
+/// means and the stds as little-endian f32.
+pub(crate) fn save_checkpoint(
+    model: &AerisModel,
+    stats: &NormStats,
+    res_stats: &NormStats,
+    path: &Path,
+) -> io::Result<()> {
+    aeris_nn::save_params(&model.store, path)?;
+    let mut f = io::BufWriter::new(std::fs::File::create(path.with_extension("stats"))?);
+    for stats in [stats, res_stats] {
+        f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
+        for &v in stats.mean.iter().chain(&stats.std) {
+            f.write_all(&v.to_le_bytes())?;
+        }
+    }
+    f.flush()
+}
+
+/// Load a checkpoint written by [`save_checkpoint`] into a model built from
+/// `cfg`: the model, then the field and residual statistics. A `.stats` file
+/// that is not exactly two blocks of `cfg.channels` channels is
+/// [`io::ErrorKind::InvalidData`] here, not a panic in the first step.
+pub(crate) fn load_checkpoint(
+    cfg: AerisConfig,
+    path: &Path,
+) -> io::Result<(AerisModel, NormStats, NormStats)> {
+    let c = cfg.channels;
+    let mut model = AerisModel::new(cfg);
+    aeris_nn::load_params(&mut model.store, path)?;
+    let bytes = std::fs::read(path.with_extension("stats"))?;
+    let corrupt = |detail: String| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("corrupt .stats file: {detail}"))
+    };
+    let block = 4 + 8 * c;
+    if bytes.len() != 2 * block {
+        let len = bytes.len();
+        return Err(corrupt(format!("{len} bytes, expected {} for {c} channels", 2 * block)));
+    }
+    let mut blocks = bytes.chunks_exact(block).map(|b| {
+        let n = u32::from_le_bytes(b[..4].try_into().expect("4-byte header")) as usize;
+        if n != c {
+            return Err(corrupt(format!("a block claims {n} channels, the model has {c}")));
+        }
+        let vals: Vec<f32> = b[4..]
+            .chunks_exact(4)
+            .map(|v| f32::from_le_bytes(v.try_into().expect("4-byte value")))
+            .collect();
+        Ok(NormStats { mean: vals[..c].to_vec(), std: vals[c..].to_vec() })
+    });
+    let stats = blocks.next().expect("length checked: two blocks")?;
+    let res_stats = blocks.next().expect("length checked: two blocks")?;
+    Ok((model, stats, res_stats))
 }
 
 /// A trained model packaged for inference.
@@ -68,39 +190,6 @@ pub struct EnsembleForecast {
     pub members: Vec<Vec<Tensor>>,
 }
 
-/// Typed corrupt-statistics error for [`Forecaster::load`].
-pub(crate) fn stats_corrupt(detail: String) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("corrupt .stats file: {detail}"),
-    )
-}
-
-/// Parse one `NormStats` block (`u32` channel count, then `2n` little-endian
-/// f32 values) from `bytes` starting at `*off`, advancing the offset.
-/// Truncated or absurd inputs surface as [`std::io::ErrorKind::InvalidData`]
-/// instead of a panic.
-pub(crate) fn read_stats(bytes: &[u8], off: &mut usize) -> std::io::Result<NormStats> {
-    let header = bytes
-        .get(*off..*off + 4)
-        .ok_or_else(|| stats_corrupt(format!("truncated header at byte {}", *off)))?;
-    let n = u32::from_le_bytes(header.try_into().unwrap()) as usize;
-    *off += 4;
-    let need = 2 * n * 4;
-    let body = bytes.get(*off..*off + need).ok_or_else(|| {
-        stats_corrupt(format!(
-            "statistics block claims {n} channels ({need} bytes) but only {} remain",
-            bytes.len().saturating_sub(*off)
-        ))
-    })?;
-    *off += need;
-    let mut vals = Vec::with_capacity(2 * n);
-    for chunk in body.chunks_exact(4) {
-        vals.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    Ok(NormStats { mean: vals[..n].to_vec(), std: vals[n..].to_vec() })
-}
-
 impl EnsembleForecast {
     /// Number of members.
     pub fn n_members(&self) -> usize {
@@ -110,19 +199,6 @@ impl EnsembleForecast {
     /// Number of forecast steps.
     pub fn n_steps(&self) -> usize {
         self.members.first().map_or(0, |m| m.len())
-    }
-
-    /// Ensemble mean at step `k`, or `None` for an empty ensemble or a step
-    /// beyond the rollout horizon.
-    pub fn mean(&self, k: usize) -> Option<Tensor> {
-        if self.members.is_empty() || k >= self.n_steps() {
-            return None;
-        }
-        let mut acc = Tensor::zeros(self.members[0][k].shape());
-        for m in &self.members {
-            acc.add_assign(&m[k]);
-        }
-        Some(acc.scale(1.0 / self.members.len() as f32))
     }
 
     /// All member states at step `k`, or `None` for an empty ensemble or a
@@ -138,51 +214,21 @@ impl EnsembleForecast {
 impl Forecaster {
     /// Save the model weights and normalization statistics next to each
     /// other: `<path>` gets the weights, `<path>.stats` the statistics.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        aeris_nn::save_params(&self.model.store, path)?;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(
-            path.with_extension("stats"),
-        )?);
-        use std::io::Write;
-        for stats in [&self.stats, &self.res_stats] {
-            f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
-            for &v in stats.mean.iter().chain(&stats.std) {
-                f.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
     }
 
     /// Load weights + statistics saved by [`Forecaster::save`] into a
     /// forecaster built from the same config.
-    pub fn load(
-        cfg: crate::config::AerisConfig,
-        sampler: TrigFlowSampler,
-        path: &std::path::Path,
-    ) -> std::io::Result<Forecaster> {
-        let mut model = crate::model::AerisModel::new(cfg);
-        aeris_nn::load_params(&mut model.store, path)?;
-        let bytes = std::fs::read(path.with_extension("stats"))?;
-        let mut off = 0usize;
-        let stats = read_stats(&bytes, &mut off)?;
-        let res_stats = read_stats(&bytes, &mut off)?;
-        if off != bytes.len() {
-            return Err(stats_corrupt(format!(
-                "{} trailing bytes after statistics",
-                bytes.len() - off
-            )));
-        }
+    pub fn load(cfg: AerisConfig, sampler: TrigFlowSampler, path: &Path) -> io::Result<Forecaster> {
+        let (model, stats, res_stats) = load_checkpoint(cfg, path)?;
         Ok(Forecaster { model, stats, res_stats, sampler })
     }
 
-    /// A bitwise-identical copy with its own parameter storage (snapshot +
-    /// restore of the store); the copy produces identical numbers by
-    /// construction.
+    /// A bitwise-identical copy with its own parameter storage.
     pub fn replicate(&self) -> Forecaster {
-        let mut model = AerisModel::new(self.model.cfg.clone());
-        model.store.restore(&self.model.store.snapshot());
         Forecaster {
-            model,
+            model: self.model.replicate(),
             stats: self.stats.clone(),
             res_stats: self.res_stats.clone(),
             sampler: self.sampler,
@@ -205,12 +251,8 @@ impl Forecaster {
         rng: &mut Rng,
         guidance: &mut dyn Guidance,
     ) -> Tensor {
-        let prev_std = self.stats.standardize(x_prev);
-        let shape = prev_std.shape().to_vec();
-        let mut velocity =
-            |x_t: &Tensor, t: f32| self.model.velocity(x_t, &prev_std, forcings, t);
-        let residual_std = self.sampler.sample_guided(&shape, &mut velocity, rng, guidance);
-        add_residual(x_prev, &residual_std, &self.res_stats)
+        let (model, sampler) = (&self.model, &self.sampler);
+        sampled_step(model, &self.stats, &self.res_stats, sampler, x_prev, forcings, rng, guidance)
     }
 
     /// Batched forecast step: advance several independent states by one step
@@ -219,12 +261,10 @@ impl Forecaster {
     /// never change the numbers, which is what lets the serving engine
     /// coalesce requests freely while staying bitwise deterministic.
     pub fn forecast_step_batch(&self, jobs: &mut [StepJob<'_>]) -> Vec<Tensor> {
-        let outs: Vec<Tensor> = jobs
-            .iter_mut()
+        jobs.iter_mut()
             .into_par_iter()
             .map(|job| self.forecast_step(job.x_prev, job.forcings, job.rng))
-            .collect();
-        outs
+            .collect()
     }
 
     /// Batched guided step: like [`Self::forecast_step_batch`] but each job
@@ -232,20 +272,16 @@ impl Forecaster {
     /// forecast and nowcast member-steps in one batch. The purity argument is
     /// unchanged — guidance state, like the RNG, is private to its job.
     pub fn forecast_step_batch_guided(&self, jobs: &mut [GuidedStepJob<'_>]) -> Vec<Tensor> {
-        let outs: Vec<Tensor> = jobs
-            .iter_mut()
+        jobs.iter_mut()
             .into_par_iter()
             .map(|job| match job.guidance.as_deref_mut() {
                 Some(g) => self.forecast_step_guided(job.x_prev, job.forcings, job.rng, g),
                 None => self.forecast_step(job.x_prev, job.forcings, job.rng),
             })
-            .collect();
-        outs
+            .collect()
     }
 
-    /// Autoregressive rollout for `steps` steps. `forcings(k)` returns the
-    /// forcing tensor valid at the *input* of step `k` (solar radiation moves
-    /// with the clock; orography and land-sea mask are static).
+    /// Autoregressive rollout for `steps` steps (see [`rollout`]).
     pub fn rollout(
         &self,
         x0: &Tensor,
@@ -253,17 +289,11 @@ impl Forecaster {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k), rng);
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
     /// Generate an ensemble of rollouts (members parallelized with rayon).
-    /// Member `m` uses the deterministic seed stream `base_seed ⊕ m`.
+    /// Member `m` draws from [`member_rng`]`(base_seed, m)`.
     pub fn ensemble(
         &self,
         x0: &Tensor,
@@ -272,14 +302,8 @@ impl Forecaster {
         n_members: usize,
         base_seed: u64,
     ) -> EnsembleForecast {
-        let members: Vec<Vec<Tensor>> = (0..n_members)
-            .into_par_iter()
-            .map(|m| {
-                let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
-                self.rollout(x0, &forcings, steps, &mut rng)
-            })
-            .collect();
-        EnsembleForecast { members }
+        let member = |_, mut rng| self.rollout(x0, forcings, steps, &mut rng);
+        EnsembleForecast { members: ensemble(n_members, base_seed, member) }
     }
 }
 
@@ -345,23 +369,19 @@ mod tests {
         // Deterministic reproduction with the same base seed.
         let ens2 = f.ensemble(&x0, &forc, 2, 3, 99);
         assert_eq!(ens.members[2][1], ens2.members[2][1]);
-        // Mean has the right shape.
-        assert_eq!(ens.mean(1).expect("step in range").shape(), &[128, 4]);
     }
 
     #[test]
     fn empty_or_out_of_range_accessors_return_none() {
         let empty = EnsembleForecast { members: vec![] };
-        assert!(empty.mean(0).is_none());
         assert!(empty.at_step(0).is_none());
         let f = tiny_forecaster();
         let mut rng = Rng::seed_from(4);
         let x0 = Tensor::randn(&[128, 4], &mut rng);
         let forc = |_k: usize| Tensor::zeros(&[128, 3]);
         let ens = f.ensemble(&x0, &forc, 2, 2, 5);
-        assert!(ens.mean(1).is_some());
-        assert!(ens.mean(2).is_none(), "step beyond horizon must be None");
-        assert!(ens.at_step(2).is_none());
+        assert!(ens.at_step(1).is_some());
+        assert!(ens.at_step(2).is_none(), "step beyond horizon must be None");
     }
 
     #[test]
@@ -445,6 +465,24 @@ mod tests {
         std::fs::write(&stats_path, &long).unwrap();
         let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
             .err().expect("trailing bytes must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // Two well-formed blocks for one channel too few: refused at load by
+        // both loaders, not left to panic in the first `standardize`.
+        let n = AerisConfig::test_tiny().channels - 1;
+        let mut short = Vec::new();
+        for _ in 0..2 {
+            short.extend_from_slice(&(n as u32).to_le_bytes());
+            for v in [vec![0.0f32; n], vec![1.0; n]].concat() {
+                short.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        std::fs::write(&stats_path, &short).unwrap();
+        let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
+            .err().expect("wrong channel count must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = crate::ConsistencyStudent::load(AerisConfig::test_tiny(), f.sampler.tf, &path)
+            .err().expect("wrong channel count must fail for the student too");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
         std::fs::remove_dir_all(&dir).ok();

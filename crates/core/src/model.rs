@@ -222,15 +222,55 @@ impl AerisModel {
         self.decode.forward(tape, binding, store, x)
     }
 
-    /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
-    /// standardized data): builds a throwaway tape.
-    pub fn velocity(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
+    /// Forward the conditioned input `[x_t, x_prev, forcings]` at time `t` on
+    /// a fresh tape: the tape, its parameter binding and the output.
+    fn forward_input(
+        &self,
+        x_t: &Tensor,
+        x_prev: &Tensor,
+        forcings: &Tensor,
+        t: f32,
+    ) -> (Tape, Binding, Var) {
         let input = self.assemble_input(x_t, x_prev, forcings);
         let mut tape = Tape::new();
         let mut binding = Binding::new(&self.store);
         let iv = tape.constant(input);
         let out = self.forward(&mut tape, &mut binding, iv, t);
+        (tape, binding, out)
+    }
+
+    /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
+    /// standardized data): builds a throwaway tape.
+    pub fn velocity(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
+        let (tape, _, out) = self.forward_input(x_t, x_prev, forcings, t);
         tape.value(out).clone()
+    }
+
+    /// The one training objective every forecaster on this backbone runs:
+    /// forward the conditioned input at time `t`, take the weighted MSE
+    /// against `target` (Eq. 2), and backpropagate. Returns the loss and the
+    /// per-parameter gradients (indexed like `store`).
+    pub fn loss_and_grads(
+        &self,
+        x_t: &Tensor,
+        x_prev: &Tensor,
+        forcings: &Tensor,
+        t: f32,
+        target: &Tensor,
+        weights: &Tensor,
+    ) -> (f64, Vec<Option<Tensor>>) {
+        let (mut tape, binding, out) = self.forward_input(x_t, x_prev, forcings, t);
+        let loss = tape.weighted_mse(out, target, weights);
+        let loss_val = tape.value(loss).data()[0] as f64;
+        let mut grads = tape.backward(loss);
+        (loss_val, binding.collect_grads(&mut grads))
+    }
+
+    /// A bitwise-identical copy with its own parameter storage.
+    pub fn replicate(&self) -> AerisModel {
+        let mut model = AerisModel::new(self.cfg.clone());
+        model.store.restore(&self.store.snapshot());
+        model
     }
 }
 

@@ -1,12 +1,12 @@
 //! Training loop: TrigFlow objective over residual targets with the
 //! physically weighted loss, AdamW, the paper's LR schedule, and EMA.
 
+use crate::forecast::sampled_step;
 use crate::model::AerisModel;
-use aeris_autodiff::Tape;
-use aeris_diffusion::{loss_weights, TrigFlow};
+use aeris_diffusion::{loss_weights, NoGuidance, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::{Dataset, Grid};
 use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
-use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, Binding, Ema, LrSchedule, ParamId};
+use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, Ema, LrSchedule, ParamId};
 use aeris_tensor::{Rng, RngSnapshot, Tensor};
 use std::collections::HashMap;
 use std::io;
@@ -33,6 +33,26 @@ pub fn prepare_samples(ds: &Dataset, range: std::ops::Range<usize>) -> Vec<Train
             TrainSample { x_prev, residual, forcings: pair.forcings }
         })
         .collect()
+}
+
+/// Fold per-sample `(loss, grads)` into the batch mean: the losses summed in
+/// f64 and the gradients summed, both then divided by the sample count.
+pub fn batch_mean(
+    n_params: usize,
+    per_sample: impl IntoIterator<Item = (f64, Vec<Option<Tensor>>)>,
+) -> (f64, Vec<Option<Tensor>>) {
+    let mut acc: Vec<Option<Tensor>> = vec![None; n_params];
+    let (mut total, mut n) = (0.0f64, 0usize);
+    for (loss, grads) in per_sample {
+        total += loss;
+        accumulate_grads(&mut acc, grads);
+        n += 1;
+    }
+    let inv = 1.0 / n as f32;
+    for g in acc.iter_mut().flatten() {
+        g.scale_inplace(inv);
+    }
+    (total / n as f64, acc)
 }
 
 /// Trainer configuration.
@@ -94,50 +114,37 @@ impl Trainer {
         self.images_seen
     }
 
-    /// Single-sample loss + gradient contribution. The diffusion time `t` is
-    /// provided by the caller so that model-parallel replicas can share it
-    /// (§VI-B's shared-seed discipline); `z` is drawn from the local stream.
+    /// Single-sample TrigFlow loss + gradient contribution: the diffusion
+    /// time `t`, then the noise `z`, drawn from the trainer's stream.
     fn sample_grads(
         &mut self,
         model: &AerisModel,
         sample: &TrainSample,
-        t: f32,
     ) -> (f64, Vec<Option<Tensor>>) {
+        let t = self.tf.sample_t(&mut self.rng);
         let z = Tensor::randn(sample.residual.shape(), &mut self.rng);
         let x_t = self.tf.interpolate(&sample.residual, &z, t);
         let v_target = self.tf.velocity_target(&sample.residual, &z, t);
-        let input = model.assemble_input(&x_t, &sample.x_prev, &sample.forcings);
-        let mut tape = Tape::new();
-        let mut binding = Binding::new(&model.store);
-        let iv = tape.constant(input);
-        let out = model.forward(&mut tape, &mut binding, iv, t);
-        let loss = tape.weighted_mse(out, &v_target, &self.weights);
-        let loss_val = tape.value(loss).data()[0] as f64;
-        let mut grads = tape.backward(loss);
-        (loss_val, binding.collect_grads(&mut grads))
+        model.loss_and_grads(&x_t, &sample.x_prev, &sample.forcings, t, &v_target, &self.weights)
+    }
+
+    /// Apply `grads` for `images` consumed images: AdamW at the scheduled
+    /// learning rate, then the EMA.
+    fn update(&mut self, model: &mut AerisModel, grads: &[Option<Tensor>], images: u64) {
+        let lr = self.cfg.schedule.lr_at(self.images_seen);
+        self.opt.step(&mut model.store, grads, lr);
+        self.images_seen += images;
+        self.ema.update(&model.store, images as f64);
     }
 
     /// One optimizer step over a mini-batch (gradients averaged). Returns the
     /// mean loss.
     pub fn train_step(&mut self, model: &mut AerisModel, batch: &[&TrainSample]) -> f64 {
         assert!(!batch.is_empty());
-        let mut acc: Vec<Option<Tensor>> = vec![None; model.store.len()];
-        let mut total_loss = 0.0;
-        for sample in batch {
-            let t = self.tf.sample_t(&mut self.rng);
-            let (loss, grads) = self.sample_grads(model, sample, t);
-            total_loss += loss;
-            accumulate_grads(&mut acc, grads);
-        }
-        let inv = 1.0 / batch.len() as f32;
-        for slot in acc.iter_mut().flatten() {
-            slot.scale_inplace(inv);
-        }
-        let lr = self.cfg.schedule.lr_at(self.images_seen);
-        self.opt.step(&mut model.store, &acc, lr);
-        self.images_seen += batch.len() as u64;
-        self.ema.update(&model.store, batch.len() as f64);
-        total_loss / batch.len() as f64
+        let per_sample = batch.iter().map(|sample| self.sample_grads(model, sample));
+        let (loss, grads) = batch_mean(model.store.len(), per_sample);
+        self.update(model, &grads, batch.len() as u64);
+        loss
     }
 
     /// Train over shuffled epochs of `samples` until `total_images` are seen.
@@ -168,7 +175,6 @@ impl Trainer {
         losses
     }
 
-
     /// Multi-step (rollout) fine-tuning (§VII-C, after SWIFT [87] and the
     /// design-space study [88]): instead of teacher-forced one-step targets,
     /// the model forecasts its *own* next state (one full sampler solve, no
@@ -180,7 +186,7 @@ impl Trainer {
         &mut self,
         model: &mut AerisModel,
         ds: &Dataset,
-        sampler: &aeris_diffusion::TrigFlowSampler,
+        sampler: &TrigFlowSampler,
         pair_range: std::ops::Range<usize>,
         images: u64,
     ) -> Vec<f64> {
@@ -198,21 +204,19 @@ impl Trainer {
             let i = order[cursor];
             cursor += 1;
 
-            // Step 1 (no grad): model forecasts x̂_i from x_{i-1}.
+            // Step 1 (no grad): model forecasts x̂_i from x_{i-1}, exactly as
+            // `Forecaster::forecast_step` would.
             let pair0 = ds.pair(i);
-            let prev_std = ds.stats.standardize(&pair0.prev);
-            let forc0 = pair0.forcings.clone();
-            let shape = prev_std.shape().to_vec();
-            let velocity =
-                |x_t: &Tensor, t: f32| model.velocity(x_t, &prev_std, &forc0, t);
-            let res_std = sampler.sample(&shape, &mut |x, t| velocity(x, t), &mut self.rng);
-            let mut x_hat = pair0.prev.clone();
-            for r in 0..shape[0] {
-                let row = x_hat.row_mut(r);
-                for j in 0..shape[1] {
-                    row[j] += res_std.at(&[r, j]) * ds.res_stats.std[j] + ds.res_stats.mean[j];
-                }
-            }
+            let x_hat = sampled_step(
+                model,
+                &ds.stats,
+                &ds.res_stats,
+                sampler,
+                &pair0.prev,
+                &pair0.forcings,
+                &mut self.rng,
+                &mut NoGuidance,
+            );
 
             // Step 2 (with grad): diffusion loss for x_{i+1} conditioned on
             // the self-generated x̂_i instead of the true x_i.
@@ -222,12 +226,8 @@ impl Trainer {
                 residual: ds.res_stats.standardize(&pair1.next.sub(&x_hat)),
                 forcings: pair1.forcings.clone(),
             };
-            let t = self.tf.sample_t(&mut self.rng);
-            let (loss, grads) = self.sample_grads(model, &sample, t);
-            let lr = self.cfg.schedule.lr_at(self.images_seen);
-            self.opt.step(&mut model.store, &grads, lr);
-            self.images_seen += 1;
-            self.ema.update(&model.store, 1.0);
+            let (loss, grads) = self.sample_grads(model, &sample);
+            self.update(model, &grads, 1);
             losses.push(loss);
         }
         losses

@@ -108,8 +108,8 @@ pub trait Guidance {
     fn nudge(&mut self, x_hat: &Tensor, step: usize, t: f32) -> Option<Tensor>;
 }
 
-/// The always-off guidance; [`TrigFlowSampler::sample`] routes through the
-/// guided loop with this, so there is exactly one solver implementation.
+/// The always-off guidance; [`TrigFlowSampler::sample`] runs the one solver
+/// loop with this.
 pub struct NoGuidance;
 
 impl Guidance for NoGuidance {
@@ -155,22 +155,15 @@ impl TrigFlowSampler {
         ts
     }
 
-    /// Draw the pure-noise initial state at `t = π/2` (scaled by σ_d).
-    pub fn initial_noise(&self, shape: &[usize], rng: &mut Rng) -> Tensor {
-        Tensor::randn(shape, rng).scale(self.tf.sigma_d)
-    }
-
     /// Generate one sample. `velocity(x, t)` evaluates the trained network
-    /// `σ_d · F_θ(x/σ_d, t)`; `rng` drives the churn noise.
+    /// `σ_d · F_θ(x/σ_d, t)`; `rng` drives the initial and churn noise.
     pub fn sample(
         &self,
         shape: &[usize],
         velocity: &mut dyn FnMut(&Tensor, f32) -> Tensor,
         rng: &mut Rng,
     ) -> Tensor {
-        let mut x = self.initial_noise(shape, rng);
-        self.sample_from(&mut x, velocity, rng);
-        x
+        self.solve(shape, velocity, rng, &mut NoGuidance)
     }
 
     /// [`Self::sample`] with an observation-consistency [`Guidance`] term.
@@ -181,37 +174,26 @@ impl TrigFlowSampler {
         rng: &mut Rng,
         guidance: &mut dyn Guidance,
     ) -> Tensor {
-        let mut x = self.initial_noise(shape, rng);
-        self.sample_from_guided(&mut x, velocity, rng, guidance);
-        x
+        self.solve(shape, velocity, rng, guidance)
     }
 
-    /// Run the solver in place starting from the provided `x` at `t = π/2`
-    /// (or at `schedule()[0]`, which is within 2e-3 rad of π/2 for the
-    /// default σ_max = 500).
-    pub fn sample_from(
-        &self,
-        x: &mut Tensor,
-        velocity: &mut dyn FnMut(&Tensor, f32) -> Tensor,
-        rng: &mut Rng,
-    ) {
-        self.sample_from_guided(x, velocity, rng, &mut NoGuidance);
-    }
-
-    /// The guided solver loop. Each step forms the data-prediction estimate
-    /// `D̂`, asks `guidance` for a nudge toward the observations, and — only
-    /// when a nudge is present — continues the step from `D̂ + g` via the
+    /// The one solver loop. It starts from pure noise at `t = π/2` (scaled
+    /// by σ_d; `schedule()[0]` is within 2e-3 rad of π/2 for the default
+    /// σ_max = 500). Each step forms the data-prediction estimate `D̂`, asks
+    /// `guidance` for a nudge toward the observations, and — only when a
+    /// nudge is present — continues the step from `D̂ + g` via the
     /// data-prediction update. With no nudge the step is the unguided solver,
     /// bit for bit: the first-order branch keeps the exact angular rotation
     /// (`ode_step`), which rounds differently from the algebraically equal
     /// `exp_step` form.
-    pub fn sample_from_guided(
+    fn solve(
         &self,
-        x: &mut Tensor,
+        shape: &[usize],
         velocity: &mut dyn FnMut(&Tensor, f32) -> Tensor,
         rng: &mut Rng,
         guidance: &mut dyn Guidance,
-    ) {
+    ) -> Tensor {
+        let mut x = Tensor::randn(shape, rng).scale(self.tf.sigma_d);
         let ts = self.schedule();
         for i in 0..ts.len() - 1 {
             let mut t = ts[i];
@@ -219,20 +201,21 @@ impl TrigFlowSampler {
             // Churn: re-noise toward the previous (noisier) time.
             if self.cfg.churn > 0.0 && i > 0 {
                 let t_hat = (t + self.cfg.churn * (ts[i - 1] - t)).min(std::f32::consts::FRAC_PI_2);
-                *x = self.tf.churn(x, t, t_hat, rng);
+                x = self.tf.churn(&x, t, t_hat, rng);
                 t = t_hat;
             }
             if self.cfg.second_order {
-                *x = self.step_2s(x, t, t_next, velocity, i, guidance);
+                x = self.step_2s(&x, t, t_next, velocity, i, guidance);
             } else {
-                let v = velocity(x, t);
-                let d = self.tf.denoise(x, &v, t);
-                match guidance.nudge(&d, i, t) {
-                    Some(g) => *x = exp_step(x, &d.add(&g), t, t_next),
-                    None => *x = self.tf.ode_step(x, &v, t, t_next),
-                }
+                let v = velocity(&x, t);
+                let d = self.tf.denoise(&x, &v, t);
+                x = match guidance.nudge(&d, i, t) {
+                    Some(g) => exp_step(&x, &d.add(&g), t, t_next),
+                    None => self.tf.ode_step(&x, &v, t, t_next),
+                };
             }
         }
+        x
     }
 
     /// Exponential-integrator step in data-prediction form. In TrigFlow

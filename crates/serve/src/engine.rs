@@ -44,7 +44,7 @@
 //! ## Determinism
 //!
 //! Member `m` of a request draws from the private stream
-//! `Rng::seed_from(seed).stream(m+1)` — the same discipline as
+//! [`member_rng`]`(seed, m)` — the same discipline as
 //! [`Forecaster::ensemble`] — and a batched step evaluates each task with
 //! its own RNG. Quality-tier responses are therefore bitwise identical to a
 //! direct `ensemble` call, fast-tier responses to a direct
@@ -60,6 +60,7 @@ use crate::api::{
 };
 use crate::cache::{content_hash, CacheKey, CacheStats, RolloutCache};
 use aeris_assim::{relax_toward_observations, GuidanceSchedule, ObsGuidance, ObservationSet};
+use aeris_core::forecast::member_rng;
 use aeris_core::{ConsistencyStudent, EnsembleForecast, Forecaster, GuidedStepJob, StepJob};
 use aeris_diffusion::Guidance;
 use aeris_obs::{
@@ -1215,7 +1216,7 @@ impl ServeEngine {
                 member: m,
                 next_step: 0,
                 x: Arc::clone(&req.init),
-                rng: Rng::seed_from(req.seed).stream(m as u64 + 1),
+                rng: member_rng(req.seed, m),
                 states: Vec::with_capacity(req.steps),
                 cache_hits: 0,
             };

@@ -49,11 +49,12 @@ use crate::layout::ActLayout;
 use crate::schedule::{one_f_one_b, Action};
 use crate::stage::{Stage, StageCtx, StageModel, StageRun};
 use crate::topology::{RankCoords, SwipeTopology};
+use aeris_core::training::batch_mean;
 use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
 use aeris_nn::window::WindowGrid;
-use aeris_nn::{accumulate_grads, AdamW, AdamWConfig, ParamId, ParamStore, RopeTable};
+use aeris_nn::{AdamW, AdamWConfig, ParamId, ParamStore, RopeTable};
 use aeris_obs::{SpanCategory, Tracer};
 use aeris_tensor::{Rng, Tensor};
 use parking_lot::Mutex;
@@ -280,11 +281,13 @@ pub fn reference_grads(
 ) -> (f64, HashMap<String, Tensor>) {
     let tf = TrigFlow::default();
     let tokens: Vec<usize> = (0..model.cfg.tokens()).collect();
-    let mut acc: Vec<Option<Tensor>> = vec![None; model.store.len()];
-    let mut total_loss = 0.0;
-    let mut count = 0usize;
-    for (dp, micro) in step_schedule.iter().enumerate() {
-        for (m, &sample) in micro.iter().enumerate() {
+    // The dp × micro schedule, flattened in replica-major order.
+    let per_sample = step_schedule.iter().enumerate().flat_map(|(dp, micro)| {
+        micro.iter().enumerate().map(move |(m, &sample)| (dp, m, sample))
+    });
+    let (loss, grads) = batch_mean(
+        model.store.len(),
+        per_sample.map(|(dp, m, sample)| {
             let t = shared_t(&tf, seed, step, dp, m);
             let x0 = source.load_rows(sample, Field::Residual, &tokens);
             let prev = source.load_rows(sample, Field::Prev, &tokens);
@@ -292,27 +295,15 @@ pub fn reference_grads(
             let z = noise_rows(seed, sample, &tokens, model.cfg.channels);
             let x_t = tf.interpolate(&x0, &z, t);
             let v_target = tf.velocity_target(&x0, &z, t);
-            let input = model.assemble_input(&x_t, &prev, &forc);
-            let mut tape = aeris_autodiff::Tape::new();
-            let mut binding = aeris_nn::Binding::new(&model.store);
-            let iv = tape.constant(input);
-            let out = model.forward(&mut tape, &mut binding, iv, t);
-            let loss = tape.weighted_mse(out, &v_target, weights);
-            total_loss += tape.value(loss).data()[0] as f64;
-            let mut grads = tape.backward(loss);
-            accumulate_grads(&mut acc, binding.collect_grads(&mut grads));
-            count += 1;
-        }
-    }
-    let inv = 1.0 / count as f32;
-    let mut by_name = HashMap::new();
-    for (i, slot) in acc.into_iter().enumerate() {
-        if let Some(mut g) = slot {
-            g.scale_inplace(inv);
-            by_name.insert(model.store.name(ParamId(i)).to_string(), g);
-        }
-    }
-    (total_loss / count as f64, by_name)
+            model.loss_and_grads(&x_t, &prev, &forc, t, &v_target, weights)
+        }),
+    );
+    let by_name = grads
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, g)| Some((model.store.name(ParamId(i)).to_string(), g?)))
+        .collect();
+    (loss, by_name)
 }
 
 /// State recovered from a checkpoint file before ranks spawn.

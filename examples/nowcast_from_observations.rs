@@ -12,6 +12,7 @@ use aeris::assim::{nowcast_ensemble, GuidanceSchedule, ObsOperator};
 use aeris::core::{AerisConfig, AerisModel, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::{Grid, NormStats};
+use aeris::evaluation::ensemble_mean;
 use aeris::serve::{Forcings, NowcastRequest, ServeConfig, ServeEngine};
 use aeris::tensor::{Rng, Tensor};
 use std::sync::Arc;
@@ -70,8 +71,8 @@ fn main() {
     };
     println!(
         "analysis RMSE vs truth: guided {:.4}, unguided {:.4}",
-        rmse(&guided.mean().expect("members")),
-        rmse(&unguided.mean().expect("members"))
+        rmse(&ensemble_mean(&guided.members.iter().collect::<Vec<_>>())),
+        rmse(&ensemble_mean(&unguided.members.iter().collect::<Vec<_>>()))
     );
 
     // The same nowcast as a service: submit through the micro-batcher and
